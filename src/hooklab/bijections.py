@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .partitions import Partition
+from .partitions import InvariantError, Partition
 
 
 class SlideTrace(NamedTuple):
@@ -102,10 +102,10 @@ def f_bijection(a: int, b: int, lam: Partition, mu: Partition) -> tuple[Partitio
     # Slide counts are claimed to form a partition (nonincreasing); check the
     # raw sequence so a counterexample would surface rather than be masked.
     if any(slides[idx] < slides[idx + 1] for idx in range(len(slides) - 1)):
-        raise AssertionError(f"slide counts {slides} are not nonincreasing")
+        raise InvariantError(f"slide counts {slides} are not nonincreasing")
     rho = Partition._trusted(tuple(s for s in slides if s))
     if rho.t > b or (rho.parts and rho.parts[0] > a):
-        raise AssertionError(f"slide record {slides} escaped the {b} x {a} rectangle")
+        raise InvariantError(f"slide record {slides} escaped the {b} x {a} rectangle")
     return nu, rho
 
 
@@ -213,7 +213,9 @@ def mex_map(lam: Partition) -> Partition:
     below = [lam.parts[j] - 1 for j in range(s, lam.t) if lam.parts[j] > 1]
     tail = list(range(k - 1, 0, -1))
     mu = Partition(tuple(sorted(above + below + tail, reverse=True)))
-    assert mu.n == lam.n + k * (k - 1) // 2 and mu.mex() == k
+    if mu.n != lam.n + k * (k - 1) // 2 or mu.mex() != k:
+        raise InvariantError(f"mex map sent {lam!r} to {mu!r}, which is not a mex-{k} "
+                             f"partition of weight {lam.n + k * (k - 1) // 2}")
     return mu
 
 
@@ -248,7 +250,9 @@ def mex_map_inverse(mu: Partition, k: int) -> Partition:
     )
     lam = Partition(tuple(sorted(parts, reverse=True)))
     report = lam.find_h_fixed_hook(-1)
-    assert report is not None and report.position == s and report.part == k
+    if report is None or report.position != s or report.part != k:
+        raise InvariantError(f"inverse mex map sent {mu!r} to {lam!r}, which lacks a "
+                             f"-1-fixed hook at position {s} with part {k}")
     return lam
 
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success/full match, 1 on a verification mismatch, 2 on
 usage errors (including bijection precondition violations, which are
-reported with the failing check named).
+reported with the failing check named, negative bounds, empty grids and
+enumerations past the weight bound) and on a broken internal invariant.
 """
 
 from __future__ import annotations
@@ -11,18 +12,8 @@ import argparse
 import json
 import sys
 
-from . import bijections, oracle, series, verify
-from .partitions import Partition
-
-SEQ_STATISTICS = (
-    "fixed-hooks",
-    "fixed-hooks-by-part",
-    "fixed-hooks-by-hook",
-    "parts-eq-mult",
-    "M",
-    "first-column-k-hooks",
-    "partition-numbers",
-)
+from . import bijections, oracle, verify
+from .partitions import InvariantError, Partition
 
 
 def _parse_partition(text: str, flag: str) -> Partition:
@@ -41,47 +32,13 @@ def _require(args: argparse.Namespace, names: tuple[str, ...], context: str) -> 
             raise ValueError(f"{context} requires --{name}")
 
 
-def _seq_table(args: argparse.Namespace) -> oracle.CountTable:
-    nmax = args.nmax
-    order = max(args.order, nmax)
-    name = args.statistic
-    if name == "partition-numbers":
-        values = series.partition_numbers(nmax)
-        return oracle.CountTable("partition-numbers", {}, dict(enumerate(values)))
-    if name == "fixed-hooks":
-        _require(args, ("h",), "seq fixed-hooks")
-        gf = series.gf_all_h_fixed(args.h, order)
-        return oracle.CountTable("fixed-hooks", {"h": args.h},
-                                 {n: gf.coeff(n) for n in range(nmax + 1)})
-    if name == "fixed-hooks-by-part":
-        _require(args, ("h", "k"), "seq fixed-hooks-by-part")
-        gf = series.gf_h_fixed_part_k(args.h, args.k, order)
-        return oracle.CountTable("fixed-hooks-by-part", {"h": args.h, "k": args.k},
-                                 {n: gf.coeff(n) for n in range(nmax + 1)})
-    if name == "fixed-hooks-by-hook":
-        _require(args, ("h", "k"), "seq fixed-hooks-by-hook")
-        gf = series.gf_h_fixed_hook_k(args.h, args.k, order)
-        return oracle.CountTable("fixed-hooks-by-hook", {"h": args.h, "k": args.k},
-                                 {n: gf.coeff(n) for n in range(nmax + 1)})
-    if name == "parts-eq-mult":
-        gf = series.gf_fixed_hooks_simplified(order)
-        return oracle.CountTable("parts-eq-mult", {},
-                                 {n: gf.coeff(n) for n in range(nmax + 1)})
-    if name == "M":
-        _require(args, ("k",), "seq M")
-        gf = series.gf_M_k(args.k, order)
-        return oracle.CountTable("M", {"k": args.k},
-                                 {n: gf.coeff(n) for n in range(nmax + 1)})
-    if name == "first-column-k-hooks":
-        _require(args, ("k",), "seq first-column-k-hooks")
-        gf = series.gf_first_column_k_hooks(args.k, order)
-        return oracle.CountTable("first-column-k-hooks", {"k": args.k},
-                                 {n: gf.coeff(n) for n in range(nmax + 1)})
-    raise ValueError(f"unknown statistic {name!r}")
-
-
 def _cmd_seq(args: argparse.Namespace) -> int:
-    table = _seq_table(args)
+    verify.check_bounds(args.nmax, args.order)
+    stat = verify.STATISTICS[args.statistic]
+    _require(args, stat.params, f"seq {args.statistic}")
+    point = {name: getattr(args, name) for name in stat.params}
+    values = stat.series_values(point, args.nmax, max(args.order, args.nmax))
+    table = oracle.CountTable(args.statistic, point, values)
     if args.format == "csv":
         sys.stdout.write(table.to_csv())
     elif args.format == "json":
@@ -157,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_seq = sub.add_parser("seq", help="export a counting sequence")
-    p_seq.add_argument("statistic", choices=SEQ_STATISTICS)
+    p_seq.add_argument("statistic", choices=tuple(verify.STATISTICS))
     p_seq.add_argument("--h", type=int, default=None)
     p_seq.add_argument("--k", type=int, default=None)
     p_seq.add_argument("--nmax", type=int, default=verify.DEFAULT_NMAX)
@@ -189,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, InvariantError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

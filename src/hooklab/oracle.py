@@ -12,7 +12,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .partitions import iter_partition_tuples
+from .partitions import check_weight, find_fixed_hook, iter_partition_tuples, mex_of
 
 # Partition lists up to this weight are memoized; above it they are streamed.
 _CACHE_WEIGHT = 40
@@ -25,6 +25,7 @@ def _cached_partitions(n: int) -> tuple[tuple[int, ...], ...]:
 
 def partitions_of(n: int) -> Iterable[tuple[int, ...]]:
     """Partitions of n as raw tuples, cached for small n."""
+    check_weight(n)
     if n <= _CACHE_WEIGHT:
         return _cached_partitions(n)
     return iter_partition_tuples(n)
@@ -62,30 +63,10 @@ class CountTable:
 
 
 def _table(statistic: str, params: dict[str, int], n_max: int,
-           count_one: Callable[[int], int]) -> CountTable:
+           count_one: Callable[[int], int], top: int | None = None) -> CountTable:
+    # top is the largest weight count_one enumerates; it is checked before any is.
+    check_weight(max(n_max if top is None else top, 0))
     return CountTable(statistic, params, {n: count_one(n) for n in range(n_max + 1)})
-
-
-def _find_fixed_hook(parts: tuple[int, ...], h: int) -> tuple[int, int, int] | None:
-    """(position, hook, part) of the h-fixed first-column hook, if present."""
-    t = len(parts)
-    for s in range(1, t + 1):
-        diff = parts[s - 1] + t - 2 * s  # strictly decreasing in s
-        if diff == h:
-            return s, parts[s - 1] + t - s, parts[s - 1]
-        if diff < h:
-            return None
-    return None
-
-
-def _mex(parts: tuple[int, ...]) -> int:
-    m = 1
-    for value in reversed(parts):
-        if value == m:
-            m += 1
-        elif value > m:
-            break
-    return m
 
 
 def _count_above_below(parts: tuple[int, ...], k: int) -> tuple[int, int]:
@@ -109,7 +90,7 @@ def count_fixed_hooks(h: int, n_max: int) -> CountTable:
     """Partitions of n possessing an h-fixed hook (f(n) when h = 0)."""
 
     def one(n: int) -> int:
-        return sum(1 for parts in partitions_of(n) if _find_fixed_hook(parts, h))
+        return sum(1 for parts in partitions_of(n) if find_fixed_hook(parts, h))
 
     return _table("fixed-hooks", {"h": h}, n_max, one)
 
@@ -151,7 +132,7 @@ def count_h_fixed_by_part(h: int, k: int, n_max: int) -> CountTable:
     def one(n: int) -> int:
         total = 0
         for parts in partitions_of(n):
-            hit = _find_fixed_hook(parts, h)
+            hit = find_fixed_hook(parts, h)
             if hit is not None and hit[2] == k:
                 total += 1
         return total
@@ -165,7 +146,7 @@ def count_h_fixed_by_hook(h: int, k: int, n_max: int) -> CountTable:
     def one(n: int) -> int:
         total = 0
         for parts in partitions_of(n):
-            hit = _find_fixed_hook(parts, h)
+            hit = find_fixed_hook(parts, h)
             if hit is not None and hit[1] == k:
                 total += 1
         return total
@@ -205,11 +186,12 @@ def count_mex_class_multi(ks: tuple[int, ...], n_max: int) -> dict[int, CountTab
     """M_k(n) for several k in a single enumeration sweep."""
     if any(k < 1 for k in ks):
         raise ValueError(f"mex values must be >= 1, got {ks}")
+    check_weight(max(n_max, 0))
     tables = {k: CountTable("mex-class", {"k": k}) for k in ks}
     for n in range(n_max + 1):
         totals = dict.fromkeys(ks, 0)
         for parts in partitions_of(n):
-            m = _mex(parts)
+            m = mex_of(parts)
             if m in totals:
                 above, below = _count_above_below(parts, m)
                 if above > below:
@@ -227,7 +209,7 @@ def count_generalized_mex(h: int, k: int, n_max: int) -> CountTable:
     def one(n: int) -> int:
         total = 0
         for parts in partitions_of(n):
-            if _mex(parts) != k:
+            if mex_of(parts) != k:
                 continue
             above, below = _count_above_below(parts, k)
             if h + 1 + above > below:
@@ -273,7 +255,7 @@ def count_ones_shifted(h: int, n_max: int) -> CountTable:
                 total += 1
         return total
 
-    return _table("ones-shifted", {"h": h}, n_max, one)
+    return _table("ones-shifted", {"h": h}, n_max, one, top=n_max - h)
 
 
 def count_ones_statistics(h: int, n_max: int) -> tuple[CountTable | None, CountTable]:

@@ -21,6 +21,10 @@ from typing import Iterator, NamedTuple, Sequence
 MAX_ENUMERATION_WEIGHT = 200
 
 
+class InvariantError(Exception):
+    """A construction produced a result that breaks one of its stated invariants."""
+
+
 class FixedHookReport(NamedTuple):
     """A detected h-fixed hook: hook == part + t - position == position + offset."""
 
@@ -104,14 +108,10 @@ class Partition:
 
     def find_h_fixed_hook(self, h: int) -> FixedHookReport | None:
         """The unique position s with hook length s + h in column 1, if any."""
-        t = len(self.parts)
-        for s, value in enumerate(self.parts, start=1):
-            diff = value + t - 2 * s  # hook minus position; strictly decreasing in s
-            if diff == h:
-                return FixedHookReport(position=s, hook=value + t - s, offset=h, part=value)
-            if diff < h:
-                return None
-        return None
+        hit = find_fixed_hook(self.parts, h)
+        if hit is None:
+            return None
+        return FixedHookReport(position=hit[0], hook=hit[1], offset=h, part=hit[2])
 
     def find_h_fixed_point(self, h: int) -> int | None:
         """The position i with parts[i] == i + h, if any (parts[i] - i is strictly decreasing)."""
@@ -125,13 +125,7 @@ class Partition:
 
     def mex(self) -> int:
         """Least positive integer that is not a part."""
-        m = 1
-        for value in reversed(self.parts):
-            if value == m:
-                m += 1
-            elif value > m:
-                break
-        return m
+        return mex_of(self.parts)
 
     def multiplicity(self, i: int) -> int:
         """Number of parts equal to i."""
@@ -146,6 +140,37 @@ class Partition:
     def to_list(self) -> list[int]:
         """Canonical JSON form: a plain list of parts."""
         return list(self.parts)
+
+
+def find_fixed_hook(parts: tuple[int, ...], h: int) -> tuple[int, int, int] | None:
+    """(position, hook, part) of the h-fixed first-column hook of raw parts, if any."""
+    t = len(parts)
+    for s in range(1, t + 1):
+        diff = parts[s - 1] + t - 2 * s  # hook minus position; strictly decreasing in s
+        if diff == h:
+            return s, parts[s - 1] + t - s, parts[s - 1]
+        if diff < h:
+            return None
+    return None
+
+
+def mex_of(parts: tuple[int, ...]) -> int:
+    """Least positive integer that is not among the nonincreasing raw parts."""
+    m = 1
+    for value in reversed(parts):
+        if value == m:
+            m += 1
+        elif value > m:
+            break
+    return m
+
+
+def check_weight(n: int, max_weight: int = MAX_ENUMERATION_WEIGHT) -> None:
+    """Refuse to enumerate the partitions of n unless 0 <= n <= max_weight."""
+    if n < 0:
+        raise ValueError(f"cannot partition a negative integer: {n}")
+    if n > max_weight:
+        raise ValueError(f"n = {n} exceeds the enumeration bound {max_weight}")
 
 
 def make_partition(parts: Sequence[int]) -> Partition:
@@ -189,8 +214,5 @@ def iter_partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
 
 def generate_partitions(n: int, *, max_weight: int = MAX_ENUMERATION_WEIGHT) -> Iterator[Partition]:
     """Every partition of n exactly once, in descending lexicographic order."""
-    if n < 0:
-        raise ValueError(f"cannot partition a negative integer: {n}")
-    if n > max_weight:
-        raise ValueError(f"n = {n} exceeds the enumeration bound {max_weight}")
+    check_weight(n, max_weight)
     return (Partition._trusted(parts) for parts in iter_partition_tuples(n))

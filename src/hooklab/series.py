@@ -183,15 +183,6 @@ def inv_finite_pochhammer(n: int, order: int) -> Series:
 
 
 @functools.lru_cache(maxsize=None)
-def _finite_pochhammer_table(n: int, order: int) -> tuple[int, ...]:
-    dense = [0] * (order + 1)
-    dense[0] = 1
-    for k in range(1, min(n, order) + 1):
-        _geometric_divide(dense, k)
-    return tuple(dense)
-
-
-@functools.lru_cache(maxsize=None)
 def q_binomial(a: int, b: int, order: int) -> Series:
     """Gaussian binomial [a over b]_q, truncated at the given order.
 
@@ -337,24 +328,10 @@ def gf_generalized_mex(h: int, k: int, order: int) -> Series:
 
     q^(h+1-C(k,2)) sum_{s >= max(k-h,1)} q^((k+1)(s-1) + C(k,2)) [s+h-1 over k-1]_q / (q)_{s-1};
     the Laurent prefactor exponent may be negative.  At h = -1 this is
-    q^(-C(k,2)) M_k(q).
+    q^(-C(k,2)) M_k(q).  The exponents add up to (k+1)(s-1) + h + 1, so this
+    is exactly :func:`gf_h_fixed_part_k`.
     """
-    if k < 1:
-        raise ValueError(f"mex value must be >= 1, got {k}")
-    binom2 = k * (k - 1) // 2
-    prefactor = h + 1 - binom2
-    inner_order = order - prefactor
-    if inner_order < 0:
-        return Series.zero(order)
-    dense = [0] * (inner_order + 1)
-    for s in itertools.count(max(k - h, 1)):
-        exponent = (k + 1) * (s - 1) + binom2
-        if exponent > inner_order:
-            break
-        rest = inner_order - exponent
-        term = q_binomial(s + h - 1, k - 1, rest) * inv_finite_pochhammer(s - 1, rest)
-        _accumulate(dense, term, exponent)
-    return Series.make(dense, inner_order).shift(prefactor)
+    return gf_h_fixed_part_k(h, k, order)
 
 
 def gf_h_fixed_hook_k(h: int, k: int, order: int) -> Series:

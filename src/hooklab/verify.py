@@ -4,14 +4,18 @@ Each theorem id wires at least one generating-function constructor to at
 least one brute-force counter and compares them cell by cell over a
 parameter grid.  A mismatching cell records the first divergent n with
 both values so a failure can be bisected immediately.
+
+:data:`STATISTICS` pairs each sequence that ``hooklab seq`` exports with its
+series constructor and its oracle counter; Theorems 3.2 and 4.1 are exactly
+such a pair checked over a grid.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import functools
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import oracle, series
 
@@ -19,20 +23,6 @@ DEFAULT_NMAX = 30
 DEFAULT_ORDER = 60
 DEFAULT_H_GRID = tuple(range(-3, 4))
 DEFAULT_K_GRID = tuple(range(1, 6))
-
-THEOREM_IDS = (
-    "thm2.1",
-    "prop2.2",
-    "thm3.2",
-    "thm3.3",
-    "thm3.4",
-    "thm3.5",
-    "cor3.6",
-    "thm4.1",
-    "thm4.2",
-    "thm4.3",
-    "pentagonal-truncation",
-)
 
 
 @dataclass
@@ -87,59 +77,104 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _compare_sequences(params: dict[str, int], expected: dict[int, int],
-                       actual: dict[int, int], note: str = "") -> CellResult:
-    for n in sorted(expected):
-        if expected[n] != actual[n]:
-            return CellResult(params, "mismatch", (n, expected[n], actual[n]), note)
-    return CellResult(params, "match", None, note)
+def _axis(value: int | None, default: tuple[int, ...]) -> tuple[int, ...]:
+    return default if value is None else (value,)
 
 
 def _series_values(s: series.Series, nmax: int) -> dict[int, int]:
     return {n: s.coeff(n) for n in range(nmax + 1)}
 
 
-def thread_count() -> int:
-    value = os.environ.get("HOOKLAB_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
+@dataclass(frozen=True)
+class Statistic:
+    """A counting statistic: its parameters in output order, and the names of
+    its series constructor and its oracle counter.
+
+    The two functions are looked up on the :mod:`series` and :mod:`oracle`
+    modules at call time, so wrappers or test doubles installed there apply.
+    """
+
+    params: tuple[str, ...]
+    series: str
+    counter: str
+    series_args: tuple[int, ...] = ()  # leading constructor arguments that are not parameters
+    domain: str = ""  # the condition admits() tests, named in errors
+    admits: Callable[..., bool] = lambda **point: True
+
+    def grid(self, h: int | None = None, k: int | None = None) -> list[dict[str, int]]:
+        """Points of the default grid, or of the given h and k, inside the domain."""
+        axes = {"h": _axis(h, DEFAULT_H_GRID), "k": _axis(k, DEFAULT_K_GRID)}
+        points = (dict(zip(self.params, values))
+                  for values in itertools.product(*(axes[name] for name in self.params)))
+        return [point for point in points if self.admits(**point)]
+
+    def series_values(self, point: dict[str, int], nmax: int, order: int) -> dict[int, int]:
+        args = (point[name] for name in self.params)
+        return _series_values(getattr(series, self.series)(*self.series_args, *args, order), nmax)
+
+    def oracle_values(self, point: dict[str, int], nmax: int) -> dict[int, int]:
+        args = (point[name] for name in self.params)
+        return getattr(oracle, self.counter)(*args, nmax).values
 
 
-def _run_cells(jobs: Iterable[Callable[[], CellResult]]) -> list[CellResult]:
-    jobs = list(jobs)
-    workers = thread_count()
-    if workers == 1:
-        results = [job() for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda job: job(), jobs))
-    return sorted(results, key=lambda cell: tuple(sorted(cell.params.items())))
+STATISTICS = {
+    "fixed-hooks": Statistic(("h",), "gf_all_h_fixed", "count_fixed_hooks"),
+    "fixed-hooks-by-part": Statistic(("h", "k"), "gf_h_fixed_part_k", "count_h_fixed_by_part"),
+    "fixed-hooks-by-hook": Statistic(("h", "k"), "gf_h_fixed_hook_k", "count_h_fixed_by_hook",
+                                     domain="h <= k-1", admits=lambda h, k: h <= k - 1),
+    "parts-eq-mult": Statistic((), "gf_fixed_hooks_simplified", "count_parts_eq_mult"),
+    "M": Statistic(("k",), "gf_M_k", "count_mex_class"),
+    "first-column-k-hooks": Statistic(("k",), "gf_first_column_k_hooks",
+                                      "count_first_column_k_hooks"),
+    "partition-numbers": Statistic((), "inv_pochhammer_tail", "partition_counts",
+                                   series_args=(1,)),
+}
 
 
-def _grid(h: int | None, k: int | None, *, hs=DEFAULT_H_GRID, ks=DEFAULT_K_GRID):
-    h_values = hs if h is None else (h,)
-    k_values = ks if k is None else (k,)
-    return h_values, k_values
+def check_bounds(nmax: int, order: int) -> None:
+    """Reject a negative coefficient bound or series order: its range would be empty."""
+    for name, value in (("nmax", nmax), ("order", order)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
+def _compare_sequences(params: dict[str, int], expected: dict[int, int],
+                       *actuals: dict[int, int], note: str = "") -> CellResult:
+    """The first divergence of expected from each actual in turn, or a match."""
+    for actual in actuals:
+        for n in sorted(expected):
+            if expected[n] != actual[n]:
+                return CellResult(params, "mismatch", (n, expected[n], actual[n]), note)
+    return CellResult(params, "match", None, note)
+
+
+def _first_mismatch(*cells: CellResult) -> CellResult:
+    """The first mismatching cell, or the last one when all match."""
+    return next((cell for cell in cells if cell.status == "mismatch"), cells[-1])
 
 
 # -- per-theorem verifiers ----------------------------------------------------
 
-def _verify_thm21(nmax: int, order: int, h, k) -> list[Callable[[], CellResult]]:
-    def cell() -> CellResult:
-        hooks = oracle.count_fixed_hooks(0, nmax).values
-        mults = oracle.count_parts_eq_mult(nmax).values
-        double = _series_values(series.gf_fixed_hooks_double_sum(order), nmax)
-        simple = _series_values(series.gf_fixed_hooks_simplified(order), nmax)
-        for name, other in (("parts-eq-mult", mults), ("double-sum", double),
-                            ("simplified", simple)):
-            result = _compare_sequences({}, hooks, other, note=f"vs {name}")
-            if result.status == "mismatch":
-                return result
-        return CellResult({}, "match", None, "oracle = parts-eq-mult = both series forms")
+def _verify_statistic(name: str, nmax: int, order: int, h, k) -> list[CellResult]:
+    stat = STATISTICS[name]
+    points = stat.grid(h, k)
+    if not points:
+        raise ValueError(f"no point of the requested grid satisfies {stat.domain}")
+    return [_compare_sequences(point, stat.oracle_values(point, nmax),
+                               stat.series_values(point, nmax, order))
+            for point in points]
 
-    return [cell]
+
+def _verify_thm21(nmax: int, order: int, h, k) -> list[CellResult]:
+    hooks = oracle.count_fixed_hooks(0, nmax).values
+    others = (
+        ("parts-eq-mult", oracle.count_parts_eq_mult(nmax).values),
+        ("double-sum", _series_values(series.gf_fixed_hooks_double_sum(order), nmax)),
+        ("simplified", _series_values(series.gf_fixed_hooks_simplified(order), nmax)),
+    )
+    checks = [_compare_sequences({}, hooks, other, note=f"vs {name}") for name, other in others]
+    return [_first_mismatch(*checks, CellResult({}, "match", None,
+                                                "oracle = parts-eq-mult = both series forms"))]
 
 
 def _count_box_partitions(weight: int, rows: int, cols: int) -> int:
@@ -150,229 +185,147 @@ def _count_box_partitions(weight: int, rows: int, cols: int) -> int:
     )
 
 
-def _verify_prop22(nmax: int, order: int, h, k) -> list[Callable[[], CellResult]]:
-    def make(a: int, b: int) -> Callable[[], CellResult]:
-        def cell() -> CellResult:
+def _verify_prop22(nmax: int, order: int, h, k) -> list[CellResult]:
+    cells = []
+    for a in range(9):
+        for b in range(9):
+            params = {"a": a, "b": b}
             lhs = series.inv_finite_pochhammer(a, order) * series.inv_finite_pochhammer(b, order)
             rhs = series.inv_finite_pochhammer(a + b, order) * series.q_binomial(a + b, a, order)
-            result = _compare_sequences(
-                {"a": a, "b": b}, _series_values(lhs, order), _series_values(rhs, order)
-            )
-            if result.status == "mismatch":
-                return result
             # oracle side: the q-binomial factor counts partitions in an a x b box
             gf = series.q_binomial(a + b, a, order)
             top = min(nmax, a * b)
             counted = {w: _count_box_partitions(w, a, b) for w in range(top + 1)}
-            return _compare_sequences(
-                {"a": a, "b": b}, counted, _series_values(gf, top),
-                "series identity plus box-partition counts",
-            )
-
-        return cell
-
-    return [make(a, b) for a in range(9) for b in range(9)]
+            cells.append(_first_mismatch(
+                _compare_sequences(params, _series_values(lhs, order), _series_values(rhs, order)),
+                _compare_sequences(params, counted, _series_values(gf, top),
+                                   note="series identity plus box-partition counts"),
+            ))
+    return cells
 
 
-def _verify_thm32(nmax: int, order: int, h, k) -> list[Callable[[], CellResult]]:
-    hs, ks = _grid(h, k)
-
-    def make(hv: int, kv: int) -> Callable[[], CellResult]:
-        def cell() -> CellResult:
-            counts = oracle.count_h_fixed_by_part(hv, kv, nmax).values
-            coeffs = _series_values(series.gf_h_fixed_part_k(hv, kv, order), nmax)
-            return _compare_sequences({"h": hv, "k": kv}, counts, coeffs)
-
-        return cell
-
-    return [make(hv, kv) for hv in hs for kv in ks]
-
-
-def _verify_thm33(nmax: int, order: int, h, k) -> list[Callable[[], CellResult]]:
-    hs, _ = _grid(h, None)
-    hs = tuple(hv for hv in hs if hv >= -1)
+def _verify_thm33(nmax: int, order: int, h, k) -> list[CellResult]:
+    hs = tuple(hv for hv in _axis(h, DEFAULT_H_GRID) if hv >= -1)
     if not hs:
         raise ValueError("thm3.3 is stated for h >= -1 only")
-
-    def make(hv: int) -> Callable[[], CellResult]:
-        def cell() -> CellResult:
-            hooks = oracle.count_h_fixed_by_part(hv, 1, nmax).values
-            ones = dict(oracle.count_ones_exact(hv, nmax).values)
-            note = ""
-            if hv == -1:
-                # Stated exception: at n=0 the empty partition has zero 1s
-                # but no -1-fixed hook; the series already drops that term.
-                if ones.get(0) == 1 and hooks.get(0) == 0:
-                    ones[0] = 0
-                    note = "n=0 exception applied as stated"
-                else:
-                    return CellResult({"h": hv}, "mismatch", (0, 1, ones.get(0, -1)),
-                                      "expected the documented n=0 exception")
-            result = _compare_sequences({"h": hv}, hooks, ones, note)
-            if result.status == "mismatch":
-                return result
-            coeffs = _series_values(series.gf_ones_exact(hv, order), nmax)
-            return _compare_sequences({"h": hv}, hooks, coeffs, note)
-
-        return cell
-
-    return [make(hv) for hv in hs]
+    cells = []
+    for hv in hs:
+        hooks = oracle.count_h_fixed_by_part(hv, 1, nmax).values
+        ones = dict(oracle.count_ones_exact(hv, nmax).values)
+        coeffs = _series_values(series.gf_ones_exact(hv, order), nmax)
+        note = ""
+        if hv == -1:
+            # Stated exception: at n=0 the empty partition has zero 1s
+            # but no -1-fixed hook; the series already drops that term.
+            if ones.get(0) != 1 or hooks.get(0) != 0:
+                cells.append(CellResult({"h": hv}, "mismatch", (0, 1, ones.get(0, -1)),
+                                        "expected the documented n=0 exception"))
+                continue
+            ones[0] = 0
+            note = "n=0 exception applied as stated"
+        cells.append(_compare_sequences({"h": hv}, hooks, ones, coeffs, note=note))
+    return cells
 
 
-def _verify_thm34(nmax: int, order: int, h, k) -> list[Callable[[], CellResult]]:
-    hs, _ = _grid(h, None)
-
-    def make(hv: int) -> Callable[[], CellResult]:
-        def cell() -> CellResult:
-            hooks = oracle.count_h_fixed_by_part(hv, 1, nmax).values
-            shifted = oracle.count_ones_shifted(hv, nmax).values
-            result = _compare_sequences({"h": hv}, hooks, shifted)
-            if result.status == "mismatch":
-                return result
-            coeffs = _series_values(series.gf_ones_shifted(hv, order), nmax)
-            return _compare_sequences({"h": hv}, hooks, coeffs)
-
-        return cell
-
-    return [make(hv) for hv in hs]
+def _verify_thm34(nmax: int, order: int, h, k) -> list[CellResult]:
+    cells = []
+    for hv in _axis(h, DEFAULT_H_GRID):
+        hooks = oracle.count_h_fixed_by_part(hv, 1, nmax).values
+        shifted = oracle.count_ones_shifted(hv, nmax).values
+        coeffs = _series_values(series.gf_ones_shifted(hv, order), nmax)
+        cells.append(_compare_sequences({"h": hv}, hooks, shifted, coeffs))
+    return cells
 
 
-def _verify_thm35(nmax: int, order: int, h, k) -> list[Callable[[], CellResult]]:
-    hs, ks = _grid(h, k)
-
-    def make(hv: int, kv: int) -> Callable[[], CellResult]:
-        def cell() -> CellResult:
+def _verify_thm35(nmax: int, order: int, h, k) -> list[CellResult]:
+    cells = []
+    for hv in _axis(h, DEFAULT_H_GRID):
+        for kv in _axis(k, DEFAULT_K_GRID):
             shift = kv * (kv - 1) // 2 - (hv + 1)
             hooks = oracle.count_h_fixed_by_part(hv, kv, nmax).values
             mexes = oracle.count_generalized_mex(hv, kv, nmax + max(shift, 0)).values
             shifted = {n: (mexes[n + shift] if n + shift >= 0 else 0) for n in range(nmax + 1)}
-            result = _compare_sequences({"h": hv, "k": kv}, hooks, shifted)
-            if result.status == "mismatch":
-                return result
             coeffs = _series_values(series.gf_generalized_mex(hv, kv, order), nmax)
-            return _compare_sequences({"h": hv, "k": kv}, hooks, coeffs)
-
-        return cell
-
-    return [make(hv, kv) for hv in hs for kv in ks]
+            cells.append(_compare_sequences({"h": hv, "k": kv}, hooks, shifted, coeffs))
+    return cells
 
 
-def _verify_cor36(nmax: int, order: int, h, k) -> list[Callable[[], CellResult]]:
-    _, ks = _grid(None, k)
-
-    def make(kv: int) -> Callable[[], CellResult]:
-        def cell() -> CellResult:
-            shift = kv * (kv - 1) // 2
-            mexes = oracle.count_mex_class(kv, nmax).values
-            hooks = oracle.count_h_fixed_by_part(-1, kv, nmax).values
-            derived = {n: (hooks[n - shift] if n - shift >= 0 else 0) for n in range(nmax + 1)}
-            result = _compare_sequences({"k": kv}, mexes, derived)
-            if result.status == "mismatch":
-                return result
-            coeffs = _series_values(series.gf_M_k(kv, order), nmax)
-            return _compare_sequences({"k": kv}, mexes, coeffs)
-
-        return cell
-
-    return [make(kv) for kv in ks]
+def _verify_cor36(nmax: int, order: int, h, k) -> list[CellResult]:
+    cells = []
+    for kv in _axis(k, DEFAULT_K_GRID):
+        shift = kv * (kv - 1) // 2
+        mexes = oracle.count_mex_class(kv, nmax).values
+        hooks = oracle.count_h_fixed_by_part(-1, kv, nmax).values
+        derived = {n: (hooks[n - shift] if n - shift >= 0 else 0) for n in range(nmax + 1)}
+        coeffs = _series_values(series.gf_M_k(kv, order), nmax)
+        cells.append(_compare_sequences({"k": kv}, mexes, derived, coeffs))
+    return cells
 
 
-def _verify_thm41(nmax: int, order: int, h, k) -> list[Callable[[], CellResult]]:
-    hs, ks = _grid(h, k)
-
-    def make(hv: int, kv: int) -> Callable[[], CellResult]:
-        def cell() -> CellResult:
-            counts = oracle.count_h_fixed_by_hook(hv, kv, nmax).values
-            coeffs = _series_values(series.gf_h_fixed_hook_k(hv, kv, order), nmax)
-            return _compare_sequences({"h": hv, "k": kv}, counts, coeffs)
-
-        return cell
-
-    return [make(hv, kv) for hv in hs for kv in ks if hv <= kv - 1]
-
-
-def _verify_thm42(nmax: int, order: int, h, k) -> list[Callable[[], CellResult]]:
-    hs, _ = _grid(h, None)
-
-    def make(hv: int) -> Callable[[], CellResult]:
-        def cell() -> CellResult:
-            counts = oracle.count_fixed_hooks(hv, nmax).values
-            coeffs = _series_values(series.gf_all_h_fixed(hv, order), nmax)
-            result = _compare_sequences({"h": hv}, counts, coeffs)
-            if result.status == "mismatch":
-                return result
-            # aggregation: the part-size refinement resums to the same series
-            total = series.Series.zero(order)
-            for kv in range(1, order + 1):
-                total = total + series.gf_h_fixed_part_k(hv, kv, order)
-            return _compare_sequences({"h": hv}, counts, _series_values(total, nmax),
-                                      "includes part-size resummation")
-
-        return cell
-
-    return [make(hv) for hv in hs]
+def _verify_thm42(nmax: int, order: int, h, k) -> list[CellResult]:
+    cells = []
+    for hv in _axis(h, DEFAULT_H_GRID):
+        counts = oracle.count_fixed_hooks(hv, nmax).values
+        coeffs = _series_values(series.gf_all_h_fixed(hv, order), nmax)
+        # aggregation: the part-size refinement resums to the same series
+        total = series.Series.zero(order)
+        for kv in range(1, order + 1):
+            total = total + series.gf_h_fixed_part_k(hv, kv, order)
+        cells.append(_first_mismatch(
+            _compare_sequences({"h": hv}, counts, coeffs),
+            _compare_sequences({"h": hv}, counts, _series_values(total, nmax),
+                               note="includes part-size resummation"),
+        ))
+    return cells
 
 
-def _verify_thm43(nmax: int, order: int, h, k) -> list[Callable[[], CellResult]]:
-    _, ks = _grid(None, k)
-
-    def make(kv: int) -> Callable[[], CellResult]:
-        def cell() -> CellResult:
-            counts = oracle.count_first_column_k_hooks(kv, nmax).values
-            gf = series.gf_first_column_k_hooks(kv, order)
-            result = _compare_sequences({"k": kv}, counts, _series_values(gf, nmax))
-            if result.status == "mismatch":
-                return result
-            # resummation over h <= k-1; terms with minimal exponent beyond
-            # the order vanish, which bounds h from below.
-            total = series.Series.zero(order)
-            hv = kv - 1
-            while kv + (kv - hv - 1) <= order:
-                total = total + series.gf_h_fixed_hook_k(hv, kv, order)
-                hv -= 1
-            return _compare_sequences({"k": kv}, _series_values(gf, order),
-                                      _series_values(total, order),
-                                      "includes h-resummation")
-
-        return cell
-
-    return [make(kv) for kv in ks]
+def _verify_thm43(nmax: int, order: int, h, k) -> list[CellResult]:
+    cells = []
+    for kv in _axis(k, DEFAULT_K_GRID):
+        counts = oracle.count_first_column_k_hooks(kv, nmax).values
+        gf = series.gf_first_column_k_hooks(kv, order)
+        # resummation over h <= k-1; terms with minimal exponent beyond
+        # the order vanish, which bounds h from below.
+        total = series.Series.zero(order)
+        hv = kv - 1
+        while kv + (kv - hv - 1) <= order:
+            total = total + series.gf_h_fixed_hook_k(hv, kv, order)
+            hv -= 1
+        cells.append(_first_mismatch(
+            _compare_sequences({"k": kv}, counts, _series_values(gf, nmax)),
+            _compare_sequences({"k": kv}, _series_values(gf, order),
+                               _series_values(total, order), note="includes h-resummation"),
+        ))
+    return cells
 
 
-def _verify_pentagonal(nmax: int, order: int, h, k) -> list[Callable[[], CellResult]]:
-    _, ks = _grid(None, k)
-
-    def make(kv: int) -> Callable[[], CellResult]:
-        def cell() -> CellResult:
-            mexes = oracle.count_mex_class(kv, nmax).values
-            sign = 1 if kv % 2 else -1
-            truncated = {
-                n: sign * series.truncated_pentagonal(kv, n) for n in range(1, nmax + 1)
-            }
-            expected = {n: mexes[n] for n in range(1, nmax + 1)}
-            return _compare_sequences(
-                {"k": kv}, expected, truncated,
-                "n=0 excluded: the recurrence is stated for n >= 1",
-            )
-
-        return cell
-
-    return [make(kv) for kv in ks]
+def _verify_pentagonal(nmax: int, order: int, h, k) -> list[CellResult]:
+    cells = []
+    for kv in _axis(k, DEFAULT_K_GRID):
+        mexes = oracle.count_mex_class(kv, nmax).values
+        sign = 1 if kv % 2 else -1
+        truncated = {n: sign * series.truncated_pentagonal(kv, n) for n in range(1, nmax + 1)}
+        expected = {n: mexes[n] for n in range(1, nmax + 1)}
+        cells.append(_compare_sequences({"k": kv}, expected, truncated,
+                                        note="n=0 excluded: the recurrence is stated for n >= 1"))
+    return cells
 
 
 _VERIFIERS = {
     "thm2.1": _verify_thm21,
     "prop2.2": _verify_prop22,
-    "thm3.2": _verify_thm32,
+    "thm3.2": functools.partial(_verify_statistic, "fixed-hooks-by-part"),
     "thm3.3": _verify_thm33,
     "thm3.4": _verify_thm34,
     "thm3.5": _verify_thm35,
     "cor3.6": _verify_cor36,
-    "thm4.1": _verify_thm41,
+    "thm4.1": functools.partial(_verify_statistic, "fixed-hooks-by-hook"),
     "thm4.2": _verify_thm42,
     "thm4.3": _verify_thm43,
     "pentagonal-truncation": _verify_pentagonal,
 }
+
+THEOREM_IDS = tuple(_VERIFIERS)
 
 
 def verify_theorem(theorem: str, *, nmax: int = DEFAULT_NMAX, order: int = DEFAULT_ORDER,
@@ -380,7 +333,7 @@ def verify_theorem(theorem: str, *, nmax: int = DEFAULT_NMAX, order: int = DEFAU
     """Run one theorem's coefficient-vs-oracle grid and report per-cell status."""
     if theorem not in _VERIFIERS:
         raise ValueError(f"unknown theorem id {theorem!r}; choose from {', '.join(THEOREM_IDS)}")
+    check_bounds(nmax, order)
     if nmax > order:
         raise ValueError(f"nmax={nmax} exceeds the series order {order}")
-    jobs = _VERIFIERS[theorem](nmax, order, h, k)
-    return VerificationReport(theorem, nmax, order, _run_cells(jobs))
+    return VerificationReport(theorem, nmax, order, _VERIFIERS[theorem](nmax, order, h, k))

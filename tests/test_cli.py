@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hooklab import InvariantError, Partition, mex_map
 from hooklab.cli import main
+from hooklab.verify import STATISTICS, THEOREM_IDS
 
 
 def run(capsys, *argv):
@@ -134,3 +140,86 @@ class TestBijectionCommand:
         code, _, err = run(capsys, "bijection", "B", "--input", "[2,1,", "--i", "1")
         assert code == 2
         assert "JSON" in err
+
+
+class TestStatisticTable:
+    def test_default_grids_hold_83_points(self):
+        assert sum(len(stat.grid()) for stat in STATISTICS.values()) == 83
+
+    @pytest.mark.parametrize("name", list(STATISTICS))
+    def test_seq_matches_the_oracle_counter(self, capsys, name):
+        stat = STATISTICS[name]
+        for point in stat.grid():
+            flags = [arg for param, value in point.items() for arg in (f"--{param}", str(value))]
+            code, out, _ = run(capsys, "seq", name, *flags, "--nmax", "12", "--format", "json")
+            assert code == 0
+            data = json.loads(out)
+            assert data["params"] == point
+            values = {int(n): count for n, count in data["values"].items()}
+            assert values == stat.oracle_values(point, 12), point
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, named", [
+        (["verify", "thm3.2", "--nmax", "-3"], "nmax must be >= 0, got -3"),
+        (["seq", "M", "--k", "2", "--nmax", "-3"], "nmax must be >= 0, got -3"),
+        (["verify", "thm2.1", "--nmax", "-10", "--order", "-5"], "nmax must be >= 0, got -10"),
+        (["verify", "thm4.1", "--h", "5", "--k", "2"], "h <= k-1"),
+    ])
+    def test_empty_range_rejected(self, capsys, argv, named):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert named in err
+
+    def test_enumeration_bound_checked_before_enumerating(self, capsys):
+        start = time.monotonic()
+        code, _, err = run(capsys, "verify", "thm2.1", "--nmax", "300", "--order", "300")
+        assert time.monotonic() - start < 1.0
+        assert code == 2
+        assert "enumeration bound 200" in err
+
+    def test_invariant_violation(self, capsys, monkeypatch):
+        monkeypatch.setattr(Partition, "mex", lambda self: 0)
+        with pytest.raises(InvariantError, match="not a mex-4 partition"):
+            mex_map(Partition((11, 6, 5, 5, 4, 4, 4, 2, 1)))
+        code, out, err = run(capsys, "bijection", "mex", "--input", "[11,6,5,5,4,4,4,2,1]")
+        assert code == 2
+        assert out == ""
+        assert "not a mex-4 partition" in err
+
+
+@st.composite
+def cli_argv(draw):
+    bound = st.integers(-5, 12)
+    param = st.integers(-5, 6)
+    command = draw(st.sampled_from(["verify", "seq", "bijection"]))
+    if command == "verify":
+        argv = ["verify", draw(st.sampled_from(THEOREM_IDS))]
+        options = {"--nmax": bound, "--order": bound, "--h": param, "--k": param}
+    elif command == "seq":
+        argv = ["seq", draw(st.sampled_from(list(STATISTICS))),
+                "--format", draw(st.sampled_from(["csv", "json", "bfile"]))]
+        options = {"--nmax": bound, "--order": bound, "--h": param, "--k": param, "--start": bound}
+    else:
+        argv = ["bijection", draw(st.sampled_from(["F", "B", "mex"])),
+                "--direction", draw(st.sampled_from(["forward", "inverse"]))]
+        partition = st.one_of(
+            st.lists(st.integers(1, 6), max_size=7).map(lambda xs: sorted(xs, reverse=True)),
+            st.lists(st.integers(-1, 6), max_size=5),
+        ).map(json.dumps) | st.just("[1,")
+        options = {"--input": partition, "--lam": partition, "--mu": partition,
+                   "--nu": partition, "--rho": partition,
+                   "--a": param, "--b": param, "--i": param, "--k": param}
+    for flag, values in options.items():
+        if draw(st.booleans()):
+            argv += [flag, str(draw(values))]
+    return argv
+
+
+@settings(max_examples=50, deadline=None)
+@given(cli_argv())
+def test_exit_code_is_always_0_1_or_2(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), argv

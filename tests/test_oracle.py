@@ -15,7 +15,7 @@ from hooklab import (
     count_parts_eq_mult,
     partition_numbers,
 )
-from hooklab.oracle import partition_counts
+from hooklab.oracle import partition_counts, partitions_of
 
 
 class TestFixedHookCounts:
@@ -140,3 +140,14 @@ class TestGeneratorGate:
         table = partition_counts(20)
         p = partition_numbers(20)
         assert [table[n] for n in range(21)] == p
+
+    @pytest.mark.parametrize("call", [
+        lambda: partitions_of(201),
+        lambda: count_fixed_hooks(0, 201),
+        lambda: count_mex_class_multi((1, 2), 201),
+        # visits partitions of n - h, so the bound is crossed at n_max = 191
+        lambda: count_ones_shifted(-10, 191),
+    ])
+    def test_enumeration_bound(self, call):
+        with pytest.raises(ValueError, match="enumeration bound 200"):
+            call()

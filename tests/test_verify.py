@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 import hooklab.verify as verify_mod
@@ -50,20 +48,3 @@ class TestReports:
         assert code == 1
         assert "MISMATCH" in capsys.readouterr().out
 
-
-class TestThreading:
-    def test_thread_count_parsing(self, monkeypatch):
-        monkeypatch.delenv("HOOKLAB_THREADS", raising=False)
-        assert verify_mod.thread_count() == 1
-        monkeypatch.setenv("HOOKLAB_THREADS", "4")
-        assert verify_mod.thread_count() == 4
-        monkeypatch.setenv("HOOKLAB_THREADS", "junk")
-        assert verify_mod.thread_count() == 1
-        monkeypatch.setenv("HOOKLAB_THREADS", "0")
-        assert verify_mod.thread_count() == 1
-
-    def test_parallel_run_matches_serial(self, monkeypatch):
-        serial = verify_theorem("thm3.2", nmax=10, order=20)
-        monkeypatch.setenv("HOOKLAB_THREADS", "3")
-        parallel = verify_theorem("thm3.2", nmax=10, order=20)
-        assert json.dumps(serial.to_json_dict()) == json.dumps(parallel.to_json_dict())
