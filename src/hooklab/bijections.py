@@ -88,7 +88,9 @@ def f_bijection(a: int, b: int, lam: Partition, mu: Partition) -> tuple[Partitio
 
     Pads lam with zero parts to capacity a, then inserts the parts of mu
     largest first, recording slide counts.  Total weight of the pair is
-    preserved: |lam| + |mu| = |nu| + |rho|.
+    preserved: |lam| + |mu| = |nu| + |rho|.  An inserted r passes at most
+    r entries, so zeros beyond mu's largest part are never reached and are
+    not padded.
     """
     if a < 0 or b < 0:
         raise ValueError(f"capacities must be nonnegative, got a={a}, b={b}")
@@ -96,7 +98,7 @@ def f_bijection(a: int, b: int, lam: Partition, mu: Partition) -> tuple[Partitio
         raise ValueError(f"lam has {lam.t} parts but at most {a} are allowed")
     if mu.t > b:
         raise ValueError(f"mu has {mu.t} parts but at most {b} are allowed")
-    arr = list(lam.parts) + [0] * (a - lam.t)
+    arr = list(lam.parts) + [0] * min(a - lam.t, mu.parts[0] if mu.parts else 0)
     slides = [_slide_in(arr, r) for r in mu.parts]
     nu = Partition._trusted(_strip_zeros(arr))
     # Slide counts are claimed to form a partition (nonincreasing); check the
@@ -114,7 +116,10 @@ def f_inverse(a: int, b: int, nu: Partition, rho: Partition) -> tuple[Partition,
 
     rho is zero-padded to exactly b entries and its entries are undone in
     reverse: the entry s says the corresponding inserted part sits at
-    position a + j - s and regains s boxes on extraction.
+    position a + j - s of the a + j entries left, the (s+1)-th from the
+    bottom, and regains s boxes on extraction.  Every s is at most rho's
+    largest entry, so nu is padded with no more zeros than the b
+    extractions can reach.
     """
     if a < 0 or b < 0:
         raise ValueError(f"capacities must be nonnegative, got a={a}, b={b}")
@@ -124,15 +129,14 @@ def f_inverse(a: int, b: int, nu: Partition, rho: Partition) -> tuple[Partition,
         raise ValueError(f"rho has {rho.t} slide counts but at most {b} are allowed")
     if rho.parts and rho.parts[0] > a:
         raise ValueError(f"slide count {rho.parts[0]} exceeds the {a} available parts")
-    arr = list(nu.parts) + [0] * (a + b - nu.t)
+    arr = list(nu.parts) + [0] * min(a + b - nu.t, (rho.parts[0] if rho.parts else 0) + b)
     padded = list(rho.parts) + [0] * (b - rho.t)
     recovered: list[int] = []
     for j in range(b, 0, -1):
         s = padded[j - 1]
-        position = a + j - s
-        if not 1 <= position <= len(arr):
+        if not 0 <= s < len(arr):
             raise ValueError(f"slide count {s} is inconsistent with {nu!r}")
-        recovered.append(arr.pop(position - 1) + s)
+        recovered.append(arr.pop(len(arr) - 1 - s) + s)
     mu_parts = list(reversed(recovered))
     for idx in range(len(mu_parts) - 1):
         if mu_parts[idx] < mu_parts[idx + 1]:

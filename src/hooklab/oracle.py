@@ -2,32 +2,26 @@
 
 Every statistic here is computed by exhaustively enumerating partitions
 and testing the defining predicate directly on parts and first-column
-hook lengths.  Nothing in this module imports :mod:`hooklab.series`;
-agreement between the two sides is what the verification layer checks.
+hook lengths.  Each statistic that a verification grid refines (fixed
+hooks, mex classes, box fits, ones, first-column hooks) is read from one
+memoized census per weight, so every cell of a grid shares one sweep.
+Nothing in this module imports :mod:`hooklab.series`; agreement between
+the two sides is what the verification layer checks.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterator
 
 from .partitions import check_weight, find_fixed_hook, iter_partition_tuples, mex_of
 
-# Partition lists up to this weight are memoized; above it they are streamed.
-_CACHE_WEIGHT = 40
 
-
-@functools.lru_cache(maxsize=None)
-def _cached_partitions(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(iter_partition_tuples(n))
-
-
-def partitions_of(n: int) -> Iterable[tuple[int, ...]]:
-    """Partitions of n as raw tuples, cached for small n."""
+def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n as raw tuples, streamed once the weight bound is checked."""
     check_weight(n)
-    if n <= _CACHE_WEIGHT:
-        return _cached_partitions(n)
     return iter_partition_tuples(n)
 
 
@@ -69,30 +63,68 @@ def _table(statistic: str, params: dict[str, int], n_max: int,
     return CountTable(statistic, params, {n: count_one(n) for n in range(n_max + 1)})
 
 
-def _count_above_below(parts: tuple[int, ...], k: int) -> tuple[int, int]:
-    """(#parts > k, #parts < k); parts are nonincreasing."""
-    above = 0
-    for value in parts:
-        if value > k:
-            above += 1
-        else:
-            break
-    below = 0
-    for value in reversed(parts):
-        if value < k:
+@functools.lru_cache(maxsize=None)
+def _fixed_hook_census(h: int, n: int) -> Counter:
+    """How many partitions of n have each h-fixed hook (position, hook, part), or None."""
+    return Counter(find_fixed_hook(parts, h) for parts in partitions_of(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _mex_census(n: int) -> Counter:
+    """How many partitions of n have each (mex, #parts below it - #parts above it)."""
+    census: Counter = Counter()
+    for parts in partitions_of(n):
+        m = mex_of(parts)
+        below = 0  # the parts below the mex are the trailing ones; none equals it
+        for value in reversed(parts):
+            if value > m:
+                break
             below += 1
-        else:
-            break
-    return above, below
+        census[m, 2 * below - len(parts)] += 1
+    return census
+
+
+@functools.lru_cache(maxsize=None)
+def _box_census(n: int) -> Counter:
+    """How many partitions of n have each (#parts, largest part)."""
+    return Counter((len(parts), parts[0] if parts else 0) for parts in partitions_of(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _ones_census(n: int) -> Counter:
+    """How many partitions of n have each (#parts equal to 1, #parts)."""
+    return Counter((parts.count(1), len(parts)) for parts in partitions_of(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _first_column_census(n: int) -> Counter:
+    """How many partitions of n have a first-column hook of each length."""
+    census: Counter = Counter()
+    for parts in partitions_of(n):
+        t = len(parts)
+        census.update(value + t - s for s, value in enumerate(parts, start=1))
+    return census
+
+
+def _fixed_hook_table(statistic: str, params: dict[str, int], h: int, n_max: int,
+                      keep: Callable[[int, int, int], bool]) -> CountTable:
+    """Partitions of n whose h-fixed hook (position, hook, part) passes keep."""
+    return _table(statistic, params, n_max,
+                  lambda n: sum(c for hit, c in _fixed_hook_census(h, n).items()
+                                if hit is not None and keep(*hit)))
+
+
+def _mex_table(statistic: str, params: dict[str, int], h: int, k: int,
+               n_max: int) -> CountTable:
+    """Partitions of n with mex k where h + 1 + #parts>k exceeds #parts<k."""
+    return _table(statistic, params, n_max,
+                  lambda n: sum(c for (m, diff), c in _mex_census(n).items()
+                                if m == k and diff < h + 1))
 
 
 def count_fixed_hooks(h: int, n_max: int) -> CountTable:
     """Partitions of n possessing an h-fixed hook (f(n) when h = 0)."""
-
-    def one(n: int) -> int:
-        return sum(1 for parts in partitions_of(n) if find_fixed_hook(parts, h))
-
-    return _table("fixed-hooks", {"h": h}, n_max, one)
+    return _fixed_hook_table("fixed-hooks", {"h": h}, h, n_max, lambda s, hook, part: True)
 
 
 def count_parts_eq_mult(n_max: int) -> CountTable:
@@ -128,30 +160,14 @@ def count_part_multiplicity_class(i: int, n_max: int) -> CountTable:
 
 def count_h_fixed_by_part(h: int, k: int, n_max: int) -> CountTable:
     """Partitions of n whose h-fixed hook sits at a part of size k."""
-
-    def one(n: int) -> int:
-        total = 0
-        for parts in partitions_of(n):
-            hit = find_fixed_hook(parts, h)
-            if hit is not None and hit[2] == k:
-                total += 1
-        return total
-
-    return _table("fixed-hooks-by-part", {"h": h, "k": k}, n_max, one)
+    return _fixed_hook_table("fixed-hooks-by-part", {"h": h, "k": k}, h, n_max,
+                             lambda s, hook, part: part == k)
 
 
 def count_h_fixed_by_hook(h: int, k: int, n_max: int) -> CountTable:
     """Partitions of n whose h-fixed hook has hook length exactly k."""
-
-    def one(n: int) -> int:
-        total = 0
-        for parts in partitions_of(n):
-            hit = find_fixed_hook(parts, h)
-            if hit is not None and hit[1] == k:
-                total += 1
-        return total
-
-    return _table("fixed-hooks-by-hook", {"h": h, "k": k}, n_max, one)
+    return _fixed_hook_table("fixed-hooks-by-hook", {"h": h, "k": k}, h, n_max,
+                             lambda s, hook, part: hook == k)
 
 
 def count_first_column_k_hooks(k: int, n_max: int) -> CountTable:
@@ -160,21 +176,8 @@ def count_first_column_k_hooks(k: int, n_max: int) -> CountTable:
     First-column hooks are distinct within a partition, so each partition
     contributes 0 or 1.
     """
-
-    def one(n: int) -> int:
-        total = 0
-        for parts in partitions_of(n):
-            t = len(parts)
-            for s in range(1, t + 1):
-                hook = parts[s - 1] + t - s
-                if hook == k:
-                    total += 1
-                    break
-                if hook < k:
-                    break
-        return total
-
-    return _table("first-column-k-hooks", {"k": k}, n_max, one)
+    return _table("first-column-k-hooks", {"k": k}, n_max,
+                  lambda n: _first_column_census(n)[k])
 
 
 def count_mex_class(k: int, n_max: int) -> CountTable:
@@ -183,85 +186,46 @@ def count_mex_class(k: int, n_max: int) -> CountTable:
 
 
 def count_mex_class_multi(ks: tuple[int, ...], n_max: int) -> dict[int, CountTable]:
-    """M_k(n) for several k in a single enumeration sweep."""
+    """M_k(n) for several k, read from one mex census per n."""
     if any(k < 1 for k in ks):
         raise ValueError(f"mex values must be >= 1, got {ks}")
-    check_weight(max(n_max, 0))
-    tables = {k: CountTable("mex-class", {"k": k}) for k in ks}
-    for n in range(n_max + 1):
-        totals = dict.fromkeys(ks, 0)
-        for parts in partitions_of(n):
-            m = mex_of(parts)
-            if m in totals:
-                above, below = _count_above_below(parts, m)
-                if above > below:
-                    totals[m] += 1
-        for k in ks:
-            tables[k].values[n] = totals[k]
-    return tables
+    return {k: _mex_table("mex-class", {"k": k}, -1, k, n_max) for k in ks}
 
 
 def count_generalized_mex(h: int, k: int, n_max: int) -> CountTable:
     """Partitions of n with mex k where h + 1 + #parts>k exceeds #parts<k."""
     if k < 1:
         raise ValueError(f"mex value must be >= 1, got {k}")
-
-    def one(n: int) -> int:
-        total = 0
-        for parts in partitions_of(n):
-            if mex_of(parts) != k:
-                continue
-            above, below = _count_above_below(parts, k)
-            if h + 1 + above > below:
-                total += 1
-        return total
-
-    return _table("generalized-mex", {"h": h, "k": k}, n_max, one)
+    return _mex_table("generalized-mex", {"h": h, "k": k}, h, k, n_max)
 
 
 def count_ones_exact(h: int, n_max: int) -> CountTable:
     """Partitions of n in which 1 appears exactly h+1 times (h >= -1)."""
     if h < -1:
         raise ValueError(f"the exact-ones statistic needs h >= -1, got {h}")
-    wanted = h + 1
-
-    def one(n: int) -> int:
-        total = 0
-        for parts in partitions_of(n):
-            ones = 0
-            for value in reversed(parts):
-                if value != 1:
-                    break
-                ones += 1
-            if ones == wanted:
-                total += 1
-        return total
-
-    return _table("ones-exact", {"h": h}, n_max, one)
+    return _table("ones-exact", {"h": h}, n_max,
+                  lambda n: sum(c for (ones, t), c in _ones_census(n).items() if ones == h + 1))
 
 
 def count_ones_shifted(h: int, n_max: int) -> CountTable:
     """Partitions of n-h with at least 1-h parts and exactly one part 1, tabulated at n."""
-
-    def one(n: int) -> int:
-        w = n - h
-        if w < 0:
-            return 0
-        total = 0
-        for parts in partitions_of(w):
-            if len(parts) < 1 - h:
-                continue
-            if parts and parts[-1] == 1 and (len(parts) < 2 or parts[-2] != 1):
-                total += 1
-        return total
-
-    return _table("ones-shifted", {"h": h}, n_max, one, top=n_max - h)
+    return _table("ones-shifted", {"h": h}, n_max,
+                  lambda n: sum(c for (ones, t), c in _ones_census(n - h).items()
+                                if ones == 1 and t >= 1 - h) if n >= h else 0,
+                  top=n_max - h)
 
 
 def count_ones_statistics(h: int, n_max: int) -> tuple[CountTable | None, CountTable]:
     """Both size-one-part statistics; the exact form exists only for h >= -1."""
     exact = count_ones_exact(h, n_max) if h >= -1 else None
     return exact, count_ones_shifted(h, n_max)
+
+
+def count_box_partitions(rows: int, cols: int, n_max: int) -> CountTable:
+    """Partitions of n that fit in a rows x cols box: at most rows parts, none above cols."""
+    return _table("box-partitions", {"rows": rows, "cols": cols}, n_max,
+                  lambda n: sum(c for (t, top), c in _box_census(n).items()
+                                if t <= rows and top <= cols))
 
 
 def partition_counts(n_max: int) -> CountTable:

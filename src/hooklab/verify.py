@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import oracle, series
+from .partitions import check_weight
 
 DEFAULT_NMAX = 30
 DEFAULT_ORDER = 60
@@ -177,14 +178,6 @@ def _verify_thm21(nmax: int, order: int, h, k) -> list[CellResult]:
                                                 "oracle = parts-eq-mult = both series forms"))]
 
 
-def _count_box_partitions(weight: int, rows: int, cols: int) -> int:
-    return sum(
-        1
-        for parts in oracle.partitions_of(weight)
-        if len(parts) <= rows and (not parts or parts[0] <= cols)
-    )
-
-
 def _verify_prop22(nmax: int, order: int, h, k) -> list[CellResult]:
     cells = []
     for a in range(9):
@@ -195,7 +188,7 @@ def _verify_prop22(nmax: int, order: int, h, k) -> list[CellResult]:
             # oracle side: the q-binomial factor counts partitions in an a x b box
             gf = series.q_binomial(a + b, a, order)
             top = min(nmax, a * b)
-            counted = {w: _count_box_partitions(w, a, b) for w in range(top + 1)}
+            counted = oracle.count_box_partitions(a, b, top).values
             cells.append(_first_mismatch(
                 _compare_sequences(params, _series_values(lhs, order), _series_values(rhs, order)),
                 _compare_sequences(params, counted, _series_values(gf, top),
@@ -238,15 +231,17 @@ def _verify_thm34(nmax: int, order: int, h, k) -> list[CellResult]:
 
 
 def _verify_thm35(nmax: int, order: int, h, k) -> list[CellResult]:
+    grid = [(hv, kv, kv * (kv - 1) // 2 - (hv + 1))
+            for hv in _axis(h, DEFAULT_H_GRID) for kv in _axis(k, DEFAULT_K_GRID)]
+    # the mex side reads weights up to nmax + shift: refuse the grid before any cell runs
+    check_weight(nmax + max(max(shift, 0) for _, _, shift in grid))
     cells = []
-    for hv in _axis(h, DEFAULT_H_GRID):
-        for kv in _axis(k, DEFAULT_K_GRID):
-            shift = kv * (kv - 1) // 2 - (hv + 1)
-            hooks = oracle.count_h_fixed_by_part(hv, kv, nmax).values
-            mexes = oracle.count_generalized_mex(hv, kv, nmax + max(shift, 0)).values
-            shifted = {n: (mexes[n + shift] if n + shift >= 0 else 0) for n in range(nmax + 1)}
-            coeffs = _series_values(series.gf_generalized_mex(hv, kv, order), nmax)
-            cells.append(_compare_sequences({"h": hv, "k": kv}, hooks, shifted, coeffs))
+    for hv, kv, shift in grid:
+        hooks = oracle.count_h_fixed_by_part(hv, kv, nmax).values
+        mexes = oracle.count_generalized_mex(hv, kv, nmax + max(shift, 0)).values
+        shifted = {n: (mexes[n + shift] if n + shift >= 0 else 0) for n in range(nmax + 1)}
+        coeffs = _series_values(series.gf_generalized_mex(hv, kv, order), nmax)
+        cells.append(_compare_sequences({"h": hv, "k": kv}, hooks, shifted, coeffs))
     return cells
 
 

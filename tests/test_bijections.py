@@ -5,9 +5,12 @@ requiring it to be a bijection on every fiber; see the acceptance module
 and tests/data/table1_n9.json for the frozen n=9 table.
 """
 
+import itertools
+
 import pytest
 
 from hooklab import (
+    InvariantError,
     b_bijection,
     b_inverse,
     count_parts_eq_mult,
@@ -108,6 +111,77 @@ class TestFBijection:
                                 assert rho.t <= b
                                 assert not rho.parts or rho.parts[0] <= a
                                 assert f_inverse(a, b, nu, rho) == (lam, mu)
+
+    def test_padding_matches_full_capacity(self):
+        # F pads only the zeros an insertion can reach, F^-1 only those an
+        # extraction can reach; both must agree, errors included, with
+        # padding to the full capacity
+        small = [Partition(p) for w in range(11) for p in partitions_of(w)]
+        for a, b in itertools.product(range(8), repeat=2):
+            for x, y in itertools.product(small, repeat=2):
+                if x.n + y.n <= 10:
+                    assert _outcome(f_bijection, a, b, x, y) == \
+                        _outcome(_f_full_padding, a, b, x, y), (a, b, x, y)
+                    assert _outcome(f_inverse, a, b, x, y) == \
+                        _outcome(_f_inverse_full_padding, a, b, x, y), (a, b, x, y)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, InvariantError) as exc:
+        return type(exc), str(exc)
+
+
+def _f_full_padding(a, b, lam, mu):
+    """F as first written, with lam padded to its full capacity a."""
+    if a < 0 or b < 0:
+        raise ValueError(f"capacities must be nonnegative, got a={a}, b={b}")
+    if lam.t > a:
+        raise ValueError(f"lam has {lam.t} parts but at most {a} are allowed")
+    if mu.t > b:
+        raise ValueError(f"mu has {mu.t} parts but at most {b} are allowed")
+    arr = list(lam.parts) + [0] * (a - lam.t)
+    slides = []
+    for r in mu.parts:
+        t, s = len(arr), 0
+        while s < t and r - s > arr[t - 1 - s]:
+            s += 1
+        arr.insert(t - s, r - s)
+        slides.append(s)
+    nu = Partition(tuple(v for v in arr if v))
+    if any(slides[idx] < slides[idx + 1] for idx in range(len(slides) - 1)):
+        raise InvariantError(f"slide counts {slides} are not nonincreasing")
+    rho = Partition(tuple(s for s in slides if s))
+    if rho.t > b or (rho.parts and rho.parts[0] > a):
+        raise InvariantError(f"slide record {slides} escaped the {b} x {a} rectangle")
+    return nu, rho
+
+
+def _f_inverse_full_padding(a, b, nu, rho):
+    """F^-1 as first written, with nu padded to its full capacity a + b."""
+    if a < 0 or b < 0:
+        raise ValueError(f"capacities must be nonnegative, got a={a}, b={b}")
+    if nu.t > a + b:
+        raise ValueError(f"nu has {nu.t} parts but at most {a + b} are allowed")
+    if rho.t > b:
+        raise ValueError(f"rho has {rho.t} slide counts but at most {b} are allowed")
+    if rho.parts and rho.parts[0] > a:
+        raise ValueError(f"slide count {rho.parts[0]} exceeds the {a} available parts")
+    arr = list(nu.parts) + [0] * (a + b - nu.t)
+    padded = list(rho.parts) + [0] * (b - rho.t)
+    recovered = []
+    for j in range(b, 0, -1):
+        s = padded[j - 1]
+        position = a + j - s
+        if not 1 <= position <= len(arr):
+            raise ValueError(f"slide count {s} is inconsistent with {nu!r}")
+        recovered.append(arr.pop(position - 1) + s)
+    mu_parts = list(reversed(recovered))
+    for idx in range(len(mu_parts) - 1):
+        if mu_parts[idx] < mu_parts[idx + 1]:
+            raise ValueError(f"trace does not reverse to a partition: recovered {mu_parts}")
+    return Partition(tuple(v for v in arr if v)), Partition(tuple(v for v in mu_parts if v))
 
 
 class TestBBijection:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hooklab import InvariantError, Partition, mex_map
 from hooklab.cli import main
+from hooklab.partitions import MAX_ENUMERATION_WEIGHT
 from hooklab.verify import STATISTICS, THEOREM_IDS
 
 
@@ -131,6 +132,14 @@ class TestBijectionCommand:
         assert data["output"]["lam"] == [7, 5, 3, 2]
         assert data["output"]["mu"] == [9, 7, 5]
 
+    def test_f_cost_does_not_grow_with_capacity(self, capsys):
+        start = time.monotonic()
+        code, out, _ = run(capsys, "bijection", "F", "--a", "10000000", "--b", "0",
+                           "--lam", "[]", "--mu", "[]")
+        assert time.monotonic() - start < 1.0
+        assert code == 0
+        assert json.loads(out)["output"] == {"nu": [], "rho": []}
+
     def test_precondition_violation_names_check(self, capsys):
         code, _, err = run(capsys, "bijection", "B", "--input", "[3,2]", "--i", "2")
         assert code == 2
@@ -174,10 +183,20 @@ class TestUsageErrors:
 
     def test_enumeration_bound_checked_before_enumerating(self, capsys):
         start = time.monotonic()
-        code, _, err = run(capsys, "verify", "thm2.1", "--nmax", "300", "--order", "300")
+        top = str(MAX_ENUMERATION_WEIGHT + 1)
+        code, _, err = run(capsys, "verify", "thm2.1", "--nmax", top, "--order", top)
         assert time.monotonic() - start < 1.0
         assert code == 2
-        assert "enumeration bound 200" in err
+        assert f"enumeration bound {MAX_ENUMERATION_WEIGHT}\n" in err
+
+    def test_thm35_checks_its_largest_weight_first(self, capsys):
+        # its k = 5, h = -3 cells read the mex census 12 above nmax
+        start = time.monotonic()
+        nmax = str(MAX_ENUMERATION_WEIGHT - 11)
+        code, _, err = run(capsys, "verify", "thm3.5", "--nmax", nmax, "--order", nmax)
+        assert time.monotonic() - start < 1.0
+        assert code == 2
+        assert f"n = {MAX_ENUMERATION_WEIGHT + 1} exceeds the enumeration bound" in err
 
     def test_invariant_violation(self, capsys, monkeypatch):
         monkeypatch.setattr(Partition, "mex", lambda self: 0)

@@ -1,5 +1,10 @@
+import ast
+import itertools
+from pathlib import Path
+
 import pytest
 
+import hooklab
 from hooklab import (
     count_first_column_k_hooks,
     count_fixed_hooks,
@@ -15,7 +20,8 @@ from hooklab import (
     count_parts_eq_mult,
     partition_numbers,
 )
-from hooklab.oracle import partition_counts, partitions_of
+from hooklab.oracle import count_box_partitions, partition_counts, partitions_of
+from hooklab.partitions import MAX_ENUMERATION_WEIGHT, iter_partition_tuples
 
 
 class TestFixedHookCounts:
@@ -142,12 +148,118 @@ class TestGeneratorGate:
         assert [table[n] for n in range(21)] == p
 
     @pytest.mark.parametrize("call", [
-        lambda: partitions_of(201),
-        lambda: count_fixed_hooks(0, 201),
-        lambda: count_mex_class_multi((1, 2), 201),
-        # visits partitions of n - h, so the bound is crossed at n_max = 191
-        lambda: count_ones_shifted(-10, 191),
+        lambda: partitions_of(MAX_ENUMERATION_WEIGHT + 1),
+        lambda: count_fixed_hooks(0, MAX_ENUMERATION_WEIGHT + 1),
+        lambda: count_mex_class_multi((1, 2), MAX_ENUMERATION_WEIGHT + 1),
+        # visits partitions of n - h, so the bound is crossed at n_max = bound - 9
+        lambda: count_ones_shifted(-10, MAX_ENUMERATION_WEIGHT - 9),
     ])
     def test_enumeration_bound(self, call):
-        with pytest.raises(ValueError, match="enumeration bound 200"):
+        with pytest.raises(ValueError, match=f"enumeration bound {MAX_ENUMERATION_WEIGHT}$"):
             call()
+
+
+def _direct_fixed_hook(parts, h):
+    """(hook, part) at the position s whose first-column hook is s + h, or None."""
+    t = len(parts)
+    hits = [(parts[s - 1] + t - s, parts[s - 1])
+            for s in range(1, t + 1) if parts[s - 1] + t - s == s + h]
+    assert len(hits) <= 1
+    return hits[0] if hits else None
+
+
+def _direct_mex_class(parts, h, k):
+    """mex k and h + 1 + #parts>k > #parts<k, from the definition."""
+    mex = min(set(range(1, len(parts) + 2)) - set(parts))
+    above = sum(1 for value in parts if value > k)
+    below = sum(1 for value in parts if value < k)
+    return mex == k and h + 1 + above > below
+
+
+class TestCensusDifferential:
+    """The census-backed counters against predicate sweeps written out here."""
+
+    N = 20
+    HS = range(-3, 4)
+    KS = range(1, 6)
+
+    @pytest.fixture(scope="class")
+    def partitions(self):
+        return {n: list(iter_partition_tuples(n)) for n in range(self.N + 1)}
+
+    def test_fixed_hook_counters(self, partitions):
+        for h in self.HS:
+            hits = {n: [_direct_fixed_hook(parts, h) for parts in ps]
+                    for n, ps in partitions.items()}
+            assert count_fixed_hooks(h, self.N).values == {
+                n: sum(hit is not None for hit in hs) for n, hs in hits.items()}
+            for k in self.KS:
+                assert count_h_fixed_by_part(h, k, self.N).values == {
+                    n: sum(hit is not None and hit[1] == k for hit in hs)
+                    for n, hs in hits.items()}, (h, k)
+                assert count_h_fixed_by_hook(h, k, self.N).values == {
+                    n: sum(hit is not None and hit[0] == k for hit in hs)
+                    for n, hs in hits.items()}, (h, k)
+
+    def test_mex_counters(self, partitions):
+        for h, k in itertools.product(self.HS, self.KS):
+            assert count_generalized_mex(h, k, self.N).values == {
+                n: sum(_direct_mex_class(parts, h, k) for parts in ps)
+                for n, ps in partitions.items()}, (h, k)
+        multi = count_mex_class_multi(tuple(self.KS), self.N)
+        for k in self.KS:
+            assert multi[k].values == {
+                n: sum(_direct_mex_class(parts, -1, k) for parts in ps)
+                for n, ps in partitions.items()}, k
+
+    def test_ones_and_first_column_counters(self, partitions):
+        for h in self.HS:
+            if h >= -1:
+                assert count_ones_exact(h, self.N).values == {
+                    n: sum(parts.count(1) == h + 1 for parts in ps)
+                    for n, ps in partitions.items()}, h
+            assert count_ones_shifted(h, self.N).values == {
+                n: sum(len(parts) >= 1 - h and parts.count(1) == 1
+                       for parts in (iter_partition_tuples(n - h) if n >= h else ()))
+                for n in partitions}, h
+        for k in self.KS:
+            assert count_first_column_k_hooks(k, self.N).values == {
+                n: sum(any(value + len(parts) - s == k for s, value in enumerate(parts, 1))
+                       for parts in ps)
+                for n, ps in partitions.items()}, k
+
+    def test_box_counter(self, partitions):
+        for rows, cols in itertools.product(range(6), repeat=2):
+            assert count_box_partitions(rows, cols, self.N).values == {
+                n: sum(len(parts) <= rows and all(v <= cols for v in parts) for parts in ps)
+                for n, ps in partitions.items()}, (rows, cols)
+
+
+def _package_imports(path: Path) -> set[str]:
+    """Modules of the package that the file at path imports, by short name."""
+    package = hooklab.__name__
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = package if node.level else ""  # modules of the package are one level deep
+            base = ".".join(filter(None, (base, node.module)))
+            modules = [base] if base != package else [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        names.update(m.split(".")[1] for m in modules if m.startswith(package + "."))
+    return names
+
+
+def test_oracle_never_imports_series():
+    """The oracle and every package module it reaches stay independent of series."""
+    root = Path(hooklab.__file__).parent
+    seen, todo = set(), ["oracle"]
+    while todo:
+        module = todo.pop()
+        if module not in seen:
+            seen.add(module)
+            todo.extend(_package_imports(root / f"{module}.py"))
+    assert "partitions" in seen
+    assert "series" not in seen, seen

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hooklab import Partition, generate_partitions, make_partition, partition_numbers
-from hooklab.partitions import iter_partition_tuples
+from hooklab.partitions import MAX_ENUMERATION_WEIGHT, iter_partition_tuples
 
 from conftest import P
 
@@ -179,6 +179,6 @@ class TestGeneration:
 
     def test_enumeration_bound(self):
         with pytest.raises(ValueError, match="exceeds the enumeration bound"):
-            next(iter(generate_partitions(201)))
+            next(iter(generate_partitions(MAX_ENUMERATION_WEIGHT + 1)))
         with pytest.raises(ValueError):
             generate_partitions(-1)
