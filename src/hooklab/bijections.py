@@ -114,12 +114,12 @@ def f_bijection(a: int, b: int, lam: Partition, mu: Partition) -> tuple[Partitio
 def f_inverse(a: int, b: int, nu: Partition, rho: Partition) -> tuple[Partition, Partition]:
     """Inverse of the rectangle bijection, given the same capacities a and b.
 
-    rho is zero-padded to exactly b entries and its entries are undone in
-    reverse: the entry s says the corresponding inserted part sits at
-    position a + j - s of the a + j entries left, the (s+1)-th from the
-    bottom, and regains s boxes on extraction.  Every s is at most rho's
-    largest entry, so nu is padded with no more zeros than the b
-    extractions can reach.
+    nu is read as padded with zeros to a + b entries, and the entries of rho,
+    zero-padded to b, are undone in reverse: the entry s takes the (s+1)-th
+    entry from the bottom, which regains s boxes.  The b - rho.t zero counts
+    come first and take the bottom entries in order, so they are the tail of
+    mu, nu's entries from a + rho.t on.  Each nonzero count s is at most rho's
+    largest entry, so nu is padded with no more zeros than those can reach.
     """
     if a < 0 or b < 0:
         raise ValueError(f"capacities must be nonnegative, got a={a}, b={b}")
@@ -129,21 +129,19 @@ def f_inverse(a: int, b: int, nu: Partition, rho: Partition) -> tuple[Partition,
         raise ValueError(f"rho has {rho.t} slide counts but at most {b} are allowed")
     if rho.parts and rho.parts[0] > a:
         raise ValueError(f"slide count {rho.parts[0]} exceeds the {a} available parts")
-    arr = list(nu.parts) + [0] * min(a + b - nu.t, (rho.parts[0] if rho.parts else 0) + b)
-    padded = list(rho.parts) + [0] * (b - rho.t)
+    kept = a + rho.t
+    arr = list(nu.parts[:kept]) + [0] * min(kept - nu.t, (rho.parts[0] if rho.parts else 0) + rho.t)
     recovered: list[int] = []
-    for j in range(b, 0, -1):
-        s = padded[j - 1]
+    for s in reversed(rho.parts):
         if not 0 <= s < len(arr):
             raise ValueError(f"slide count {s} is inconsistent with {nu!r}")
         recovered.append(arr.pop(len(arr) - 1 - s) + s)
-    mu_parts = list(reversed(recovered))
+    mu_parts = recovered[::-1] + list(nu.parts[kept:])
     for idx in range(len(mu_parts) - 1):
         if mu_parts[idx] < mu_parts[idx + 1]:
+            mu_parts += [0] * (b - len(mu_parts))
             raise ValueError(f"trace does not reverse to a partition: recovered {mu_parts}")
-    lam = Partition(_strip_zeros(arr))
-    mu = Partition._trusted(_strip_zeros(mu_parts))
-    return lam, mu
+    return Partition(_strip_zeros(arr)), Partition._trusted(tuple(mu_parts))
 
 
 def _b_decompose(lam: Partition, i: int) -> tuple[int, Partition, Partition]:

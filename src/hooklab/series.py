@@ -6,16 +6,17 @@ Combining two series truncates to the order on which the result is still
 exact.  Offsets may be negative; they arise from Laurent prefactors such
 as q^(h+1-C(k,2)).
 
-Every infinite sum below is cut off when the minimal q-exponent of the
-next term exceeds the truncation order; for each sum that minimal
-exponent is a linear or quadratic increasing function of the summation
-index, so the bound is computed rather than guessed.
+Each summed generating function carries its summand: the next term is the
+last one times a few factors (1 - q^a)^(+-1), applied in place.  A sum stops
+once the minimal q-exponent of the next term, which increases with the
+summation index, exceeds the truncation order.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 
@@ -146,40 +147,58 @@ class Series:
         return cls.make([int(c) for c in data["coeffs"]], int(data["order"]), int(data["offset"]))
 
 
-# -- helpers on dense coefficient arrays anchored at exponent 0 --------------
+# -- the product kernel on dense coefficient lists anchored at exponent 0 ----
 
-def _geometric_divide(dense: list[int], k: int) -> None:
-    # multiply in place by 1/(1 - q^k)
-    for e in range(k, len(dense)):
-        dense[e] += dense[e - k]
+def _scale(dense: list[int], ups=(), downs=()) -> None:
+    # multiply in place by prod(1 - q^a) / prod(1 - q^b) over a in ups, b in
+    # downs (all >= 1); a factor with its exponent past the end is 1 there
+    n = len(dense)
+    for a in ups:
+        if a < n:
+            dense[a:] = map(operator.sub, dense[a:], dense[: n - a])
+    for b in downs:
+        # a running sum along each residue class mod b, or by blocks of b
+        if b * b < n:
+            for r in range(b):
+                dense[r::b] = itertools.accumulate(dense[r::b])
+        else:
+            for i in range(b, n, b):
+                dense[i : i + b] = map(operator.add, dense[i : i + b], dense[i - b : i])
 
 
-def _one_minus_multiply(dense: list[int], k: int) -> None:
-    # multiply in place by (1 - q^k)
-    for e in range(len(dense) - 1, k - 1, -1):
-        dense[e] -= dense[e - k]
+def _ratio(length: int, ups=(), downs=()) -> list[int]:
+    # prod(1 - q^a) / prod(1 - q^b) on q^0 .. q^(length-1)
+    dense = [1] + [0] * (length - 1)
+    _scale(dense, ups, downs)
+    return dense
+
+
+def _carried_sum(total: list[int], exponent: int, term: list[int], steps) -> None:
+    # total += sum_i q^(e_i) T_i through q^(len(total) - 1), T_0 = term at
+    # e_0 = exponent; each (gap, ups, downs) of steps gives e_(i+1) = e_i + gap
+    # and T_(i+1) = T_i prod(1 - q^a) / prod(1 - q^b), built in place
+    order = len(total) - 1
+    for gap, ups, downs in itertools.chain([(0, (), ())], steps):
+        exponent += gap
+        if exponent > order:
+            return
+        del term[order - exponent + 1 :]
+        _scale(term, ups, downs)
+        total[exponent:] = map(operator.add, total[exponent:], term)
 
 
 def inv_pochhammer_tail(a: int, order: int) -> Series:
     """1/(q^a; q)_inf: partitions with all parts >= a."""
     if a < 1:
         raise ValueError(f"smallest part must be >= 1, got {a}")
-    dense = [0] * (order + 1)
-    dense[0] = 1
-    for k in range(a, order + 1):
-        _geometric_divide(dense, k)
-    return Series.make(dense, order)
+    return Series.make(_ratio(order + 1, downs=range(a, order + 1)), order)
 
 
 def inv_finite_pochhammer(n: int, order: int) -> Series:
     """1/(q; q)_n: partitions with parts at most n."""
     if n < 0:
         raise ValueError(f"Pochhammer length must be >= 0, got {n}")
-    dense = [0] * (order + 1)
-    dense[0] = 1
-    for k in range(1, min(n, order) + 1):
-        _geometric_divide(dense, k)
-    return Series.make(dense, order)
+    return Series.make(_ratio(order + 1, downs=range(1, min(n, order) + 1)), order)
 
 
 @functools.lru_cache(maxsize=None)
@@ -191,23 +210,9 @@ def q_binomial(a: int, b: int, order: int) -> Series:
     """
     if b < 0 or b > a:
         return Series.zero(order)
-    dense = [0] * (order + 1)
-    dense[0] = 1
-    for k in range(b + 1, a + 1):  # (q)_a / (q)_b
-        if k <= order:
-            _one_minus_multiply(dense, k)
-    for k in range(1, a - b + 1):  # divide by (q)_{a-b}
-        if k <= order:
-            _geometric_divide(dense, k)
-    return Series.make(dense, order)
-
-
-def _accumulate(dense: list[int], term: Series, shift: int) -> None:
-    # dense[shift + e] += term[e] for all tracked exponents that fit
-    for i, c in enumerate(term.coeffs):
-        e = shift + term.offset + i
-        if 0 <= e < len(dense):
-            dense[e] += c
+    # (q)_a / (q)_b, divided by (q)_{a-b}
+    ups, downs = range(b + 1, min(a, order) + 1), range(1, min(a - b, order) + 1)
+    return Series.make(_ratio(order + 1, ups, downs), order)
 
 
 # -- generating functions from the fixed-hook counting results ---------------
@@ -216,21 +221,17 @@ def gf_fixed_hooks_double_sum(order: int) -> Series:
     """Partitions with a 0-fixed hook: double sum over part count k and j.
 
     sum_{k>=1} sum_{j>=0} q^(k^2 - 3kj + 2j^2 + j) / ((q)_{k-2j-1} (q)_j),
-    with 1/(q)_m = 0 for m < 0.  The exponent is at least k, so k stops
-    at the truncation order.
+    with 1/(q)_m = 0 for m < 0.  With k = 2j + 1 + i the exponent is
+    (j+1+i)(1+i) + j: 2j + 1 at i = 0, growing by j + 2i + 3 from i to i + 1.
     """
-    dense = [0] * (order + 1)
-    for k in itertools.count(1):
-        if k > order:
-            break
-        for j in range(0, (k - 1) // 2 + 1):
-            exponent = k * k - 3 * k * j + 2 * j * j + j
-            if exponent > order:
-                continue
-            rest = order - exponent
-            term = inv_finite_pochhammer(k - 2 * j - 1, rest) * inv_finite_pochhammer(j, rest)
-            _accumulate(dense, term, exponent)
-    return Series.make(dense, order)
+    total = [0] * (order + 1)
+    inverse = _ratio(order)  # 1/(q)_j, carried from j to j + 1
+    for j in range((order + 1) // 2):  # while 2j + 1 <= order
+        del inverse[order - 2 * j :]
+        steps = ((j + 2 * i + 3, (), (i + 1,)) for i in itertools.count(0))
+        _carried_sum(total, 2 * j + 1, list(inverse), steps)
+        _scale(inverse, downs=(j + 1,))
+    return Series.make(total, order)
 
 
 def gf_fixed_hooks_simplified(order: int) -> Series:
@@ -243,16 +244,13 @@ def gf_fixed_hooks_simplified(order: int) -> Series:
         poly[square] += 1
         if square + t + 1 <= order:
             poly[square + t + 1] -= 1
-    return Series.make(poly, order) * inv_pochhammer_tail(1, order)
+    _scale(poly, downs=range(1, order + 1))
+    return Series.make(poly, order)
 
 
 def gf_fixed_hooks(order: int) -> Series:
-    """Partitions of n with a 0-fixed hook; computed both ways and cross-checked."""
-    double = gf_fixed_hooks_double_sum(order)
-    simplified = gf_fixed_hooks_simplified(order)
-    if double != simplified:
-        raise ArithmeticError("the two fixed-hook generating function forms disagree")
-    return simplified
+    """Partitions with a 0-fixed hook: alias of gf_fixed_hooks_simplified (thm2.1 checks both)."""
+    return gf_fixed_hooks_simplified(order)
 
 
 def gf_h_fixed_part_k(h: int, k: int, order: int) -> Series:
@@ -262,15 +260,15 @@ def gf_h_fixed_part_k(h: int, k: int, order: int) -> Series:
     """
     if k < 1:
         raise ValueError(f"part size must be >= 1, got {k}")
-    dense = [0] * (order + 1)
-    for s in itertools.count(max(k - h, 1)):
-        exponent = (k + 1) * (s - 1) + h + 1
-        if exponent > order:
-            break
-        rest = order - exponent
-        term = q_binomial(s + h - 1, k - 1, rest) * inv_finite_pochhammer(s - 1, rest)
-        _accumulate(dense, term, exponent)
-    return Series.make(dense, order)
+    s0 = max(k - h, 1)
+    exponent = (k + 1) * (s0 - 1) + h + 1
+    if exponent > order:
+        return Series.zero(order)
+    downs = itertools.chain(range(1, s0 + h - k + 1), range(1, s0))  # (q)_{s0+h-k} (q)_{s0-1}
+    total = [0] * (order + 1)
+    steps = ((k + 1, (s + h,), (s + h - k + 1, s)) for s in itertools.count(s0))
+    _carried_sum(total, exponent, _ratio(order - exponent + 1, range(k, s0 + h), downs), steps)
+    return Series.make(total, order)
 
 
 def gf_ones_exact(h: int, order: int) -> Series:
@@ -284,10 +282,10 @@ def gf_ones_exact(h: int, order: int) -> Series:
     inner_order = order - (h + 1)
     if inner_order < 0:
         return Series.zero(order)
-    base = inv_pochhammer_tail(2, inner_order)
+    dense = _ratio(inner_order + 1, downs=range(2, inner_order + 1))
     if h == -1:
-        base = base - Series.one(inner_order)
-    return base.shift(h + 1)
+        dense[0] -= 1
+    return Series.make(dense, order, offset=h + 1)
 
 
 def gf_ones_shifted(h: int, order: int) -> Series:
@@ -298,29 +296,25 @@ def gf_ones_shifted(h: int, order: int) -> Series:
     inner_order = order - (h + 1)
     if inner_order < 0:
         return Series.zero(order)
-    total = inv_pochhammer_tail(2, inner_order)
-    dense = [0] * (inner_order + 1)
-    for m in range(0, -h):
-        if 2 * m > inner_order:
-            break
-        _accumulate(dense, inv_finite_pochhammer(m, inner_order - 2 * m), 2 * m)
-    return (total - Series.make(dense, inner_order)).shift(h + 1)
+    dense = _ratio(inner_order + 1, downs=range(2, inner_order + 1))
+    if h < 0:
+        steps = ((2, (), (m + 1,)) for m in range(-h - 1))
+        _carried_sum(dense, 0, [-1] + [0] * inner_order, steps)
+    # shifted after stripping, a zero result keeps the offset h + 1 it always had
+    return Series.make(dense, inner_order).shift(h + 1)
 
 
 def gf_M_k(k: int, order: int) -> Series:
     """Andrews-Merca M_k(n): sum_{n>=k} q^(C(k,2) + (k+1) n) / (q)_n * [n-1 over k-1]_q."""
     if k < 1:
         raise ValueError(f"mex value must be >= 1, got {k}")
-    binom2 = k * (k - 1) // 2
-    dense = [0] * (order + 1)
-    for n in itertools.count(k):
-        exponent = binom2 + (k + 1) * n
-        if exponent > order:
-            break
-        rest = order - exponent
-        term = q_binomial(n - 1, k - 1, rest) * inv_finite_pochhammer(n, rest)
-        _accumulate(dense, term, exponent)
-    return Series.make(dense, order)
+    exponent = k * (k - 1) // 2 + (k + 1) * k
+    if exponent > order:
+        return Series.zero(order)
+    total = [0] * (order + 1)
+    steps = ((k + 1, (n,), (n - k + 1, n + 1)) for n in itertools.count(k))
+    _carried_sum(total, exponent, _ratio(order - exponent + 1, downs=range(1, k + 1)), steps)
+    return Series.make(total, order)
 
 
 def gf_generalized_mex(h: int, k: int, order: int) -> Series:
@@ -345,25 +339,30 @@ def gf_h_fixed_hook_k(h: int, k: int, order: int) -> Series:
     if h > k - 1:
         raise ValueError(f"an h-fixed hook of size {k} needs h <= {k - 1}, got {h}")
     d = k - h - 1
-    poly = Series.zero(order)
-    for l in range(1, k + 1):
-        exponent = k + l * d
-        if exponent > order:
-            break
-        poly = poly + q_binomial(k - 1, l - 1, order - exponent).shift(exponent)
-    if poly.is_zero():
+    if k + d > order:
         return Series.zero(order)
-    return poly * inv_finite_pochhammer(d, order - poly.offset)
+    total = [0] * (order + 1)
+    steps = ((d, (k - l,), (l,)) for l in range(1, k))  # [k-1 over l-1]_q to [k-1 over l]_q
+    _carried_sum(total, k + d, _ratio(order - k - d + 1, downs=range(1, d + 1)), steps)
+    return Series.make(total, order)
 
 
 def gf_all_h_fixed(h: int, order: int) -> Series:
     """Partitions of n with an h-fixed hook: the hook-size sum of gf_h_fixed_hook_k."""
-    dense = [0] * (order + 1)
-    for k in range(max(1, h + 1), order + 1):
-        # minimal exponent of the k-th summand is k + (k-h-1) if k > h+1, else k
-        term = gf_h_fixed_hook_k(h, k, order)
-        _accumulate(dense, term, 0)
-    return Series.make(dense, order)
+    k0 = max(1, h + 1)
+    if 2 * k0 - h - 1 > order:
+        return Series.zero(order)
+    total = [0] * (order + 1)
+    inverse = _ratio(order + 1, downs=range(1, k0 - h))  # 1/(q)_d, carried from k to k + 1
+    for k in itertools.count(k0):
+        d = k - h - 1
+        if k + d > order:
+            break
+        del inverse[order - k - d + 1 :]
+        steps = ((d, (k - l,), (l,)) for l in range(1, k))  # as in gf_h_fixed_hook_k
+        _carried_sum(total, k + d, list(inverse), steps)
+        _scale(inverse, downs=(d + 1,))
+    return Series.make(total, order)
 
 
 def gf_first_column_k_hooks(k: int, order: int) -> Series:
@@ -377,10 +376,10 @@ def gf_first_column_k_hooks(k: int, order: int) -> Series:
     if inner_order < 0:
         return Series.zero(order)
     dense = [0] * (inner_order + 1)
-    for l in range(1, k + 1):
-        _accumulate(dense, inv_finite_pochhammer(k - l, inner_order), 0)
-    total = Series.make(dense, inner_order) * inv_pochhammer_tail(k, inner_order)
-    return total.shift(k)
+    steps = ((0, (), (m + 1,)) for m in range(k - 1))
+    _carried_sum(dense, 0, _ratio(inner_order + 1), steps)
+    _scale(dense, downs=range(k, inner_order + 1))
+    return Series.make(dense, order, offset=k)
 
 
 # -- pentagonal number machinery ---------------------------------------------

@@ -140,6 +140,14 @@ class TestBijectionCommand:
         assert code == 0
         assert json.loads(out)["output"] == {"nu": [], "rho": []}
 
+    def test_f_inverse_cost_does_not_grow_with_capacity(self, capsys):
+        start = time.monotonic()
+        code, out, _ = run(capsys, "bijection", "F", "--direction", "inverse", "--a", "0",
+                           "--b", "10000000", "--nu", "[]", "--rho", "[]")
+        assert time.monotonic() - start < 1.0
+        assert code == 0
+        assert json.loads(out) == {"bijection": "F-inverse", "output": {"lam": [], "mu": []}}
+
     def test_precondition_violation_names_check(self, capsys):
         code, _, err = run(capsys, "bijection", "B", "--input", "[3,2]", "--i", "2")
         assert code == 2

@@ -193,6 +193,16 @@ class TestFixedHookSeries:
             total = total + gf_h_fixed_part_k(0, k, 40)
         assert total == gf_fixed_hooks(40)
 
+    def test_forms_agree_at_order_300(self):
+        simplified = gf_fixed_hooks_simplified(300)
+        assert gf_fixed_hooks_double_sum(300) == simplified == gf_all_h_fixed(0, 300)
+
+    def test_part_sum_is_fixed_hooks_at_order_150(self):
+        total = Series.zero(150)
+        for k in range(1, 151):
+            total = total + gf_h_fixed_part_k(0, k, 150)
+        assert total == gf_fixed_hooks_simplified(150)
+
     def test_hook_k_edge_cases(self):
         assert gf_h_fixed_hook_k(0, 1, 10).coefficients(0, 10) == (0, 1) + (0,) * 9
         with pytest.raises(ValueError, match="needs h <="):
@@ -340,3 +350,215 @@ class TestNonnegativity:
         ]
         for s in candidates:
             assert all(c >= 0 for c in s.coefficients(0, 40))
+
+
+# -- the summand-by-summand implementations the product kernel replaced -------
+#
+# Each summand was built from scratch as a product of two truncated series
+# and added into a dense list; the kernel rewrite must give the same series,
+# or raise the same error, at every grid point.
+
+def _old_geometric_divide(dense, k):
+    for e in range(k, len(dense)):
+        dense[e] += dense[e - k]
+
+
+def _old_one_minus_multiply(dense, k):
+    for e in range(len(dense) - 1, k - 1, -1):
+        dense[e] -= dense[e - k]
+
+
+def _old_accumulate(dense, term, shift):
+    for i, c in enumerate(term.coeffs):
+        e = shift + term.offset + i
+        if 0 <= e < len(dense):
+            dense[e] += c
+
+
+def _old_inv_pochhammer_tail(a, order):
+    if a < 1:
+        raise ValueError(f"smallest part must be >= 1, got {a}")
+    dense = [0] * (order + 1)
+    dense[0] = 1
+    for k in range(a, order + 1):
+        _old_geometric_divide(dense, k)
+    return Series.make(dense, order)
+
+
+def _old_inv_finite_pochhammer(n, order):
+    if n < 0:
+        raise ValueError(f"Pochhammer length must be >= 0, got {n}")
+    dense = [0] * (order + 1)
+    dense[0] = 1
+    for k in range(1, min(n, order) + 1):
+        _old_geometric_divide(dense, k)
+    return Series.make(dense, order)
+
+
+def _old_q_binomial(a, b, order):
+    if b < 0 or b > a:
+        return Series.zero(order)
+    dense = [0] * (order + 1)
+    dense[0] = 1
+    for k in range(b + 1, a + 1):
+        if k <= order:
+            _old_one_minus_multiply(dense, k)
+    for k in range(1, a - b + 1):
+        if k <= order:
+            _old_geometric_divide(dense, k)
+    return Series.make(dense, order)
+
+
+def _old_gf_fixed_hooks_double_sum(order):
+    dense = [0] * (order + 1)
+    for k in itertools.count(1):
+        if k > order:
+            break
+        for j in range(0, (k - 1) // 2 + 1):
+            exponent = k * k - 3 * k * j + 2 * j * j + j
+            if exponent > order:
+                continue
+            rest = order - exponent
+            term = _old_inv_finite_pochhammer(k - 2 * j - 1, rest) * _old_inv_finite_pochhammer(j, rest)
+            _old_accumulate(dense, term, exponent)
+    return Series.make(dense, order)
+
+
+def _old_gf_fixed_hooks_simplified(order):
+    poly = [0] * (order + 1)
+    for t in itertools.count(0):
+        square = (t + 1) * (t + 1)
+        if square > order:
+            break
+        poly[square] += 1
+        if square + t + 1 <= order:
+            poly[square + t + 1] -= 1
+    return Series.make(poly, order) * _old_inv_pochhammer_tail(1, order)
+
+
+def _old_gf_h_fixed_part_k(h, k, order):
+    if k < 1:
+        raise ValueError(f"part size must be >= 1, got {k}")
+    dense = [0] * (order + 1)
+    for s in itertools.count(max(k - h, 1)):
+        exponent = (k + 1) * (s - 1) + h + 1
+        if exponent > order:
+            break
+        rest = order - exponent
+        term = _old_q_binomial(s + h - 1, k - 1, rest) * _old_inv_finite_pochhammer(s - 1, rest)
+        _old_accumulate(dense, term, exponent)
+    return Series.make(dense, order)
+
+
+def _old_gf_ones_exact(h, order):
+    if h < -1:
+        raise ValueError(f"the exact-ones form needs h >= -1, got {h}")
+    inner_order = order - (h + 1)
+    if inner_order < 0:
+        return Series.zero(order)
+    base = _old_inv_pochhammer_tail(2, inner_order)
+    if h == -1:
+        base = base - Series.one(inner_order)
+    return base.shift(h + 1)
+
+
+def _old_gf_ones_shifted(h, order):
+    inner_order = order - (h + 1)
+    if inner_order < 0:
+        return Series.zero(order)
+    total = _old_inv_pochhammer_tail(2, inner_order)
+    dense = [0] * (inner_order + 1)
+    for m in range(0, -h):
+        if 2 * m > inner_order:
+            break
+        _old_accumulate(dense, _old_inv_finite_pochhammer(m, inner_order - 2 * m), 2 * m)
+    return (total - Series.make(dense, inner_order)).shift(h + 1)
+
+
+def _old_gf_M_k(k, order):
+    if k < 1:
+        raise ValueError(f"mex value must be >= 1, got {k}")
+    binom2 = k * (k - 1) // 2
+    dense = [0] * (order + 1)
+    for n in itertools.count(k):
+        exponent = binom2 + (k + 1) * n
+        if exponent > order:
+            break
+        rest = order - exponent
+        term = _old_q_binomial(n - 1, k - 1, rest) * _old_inv_finite_pochhammer(n, rest)
+        _old_accumulate(dense, term, exponent)
+    return Series.make(dense, order)
+
+
+def _old_gf_h_fixed_hook_k(h, k, order):
+    if k < 1:
+        raise ValueError(f"hook size must be >= 1, got {k}")
+    if h > k - 1:
+        raise ValueError(f"an h-fixed hook of size {k} needs h <= {k - 1}, got {h}")
+    d = k - h - 1
+    poly = Series.zero(order)
+    for l in range(1, k + 1):
+        exponent = k + l * d
+        if exponent > order:
+            break
+        poly = poly + _old_q_binomial(k - 1, l - 1, order - exponent).shift(exponent)
+    if poly.is_zero():
+        return Series.zero(order)
+    return poly * _old_inv_finite_pochhammer(d, order - poly.offset)
+
+
+def _old_gf_all_h_fixed(h, order):
+    dense = [0] * (order + 1)
+    for k in range(max(1, h + 1), order + 1):
+        _old_accumulate(dense, _old_gf_h_fixed_hook_k(h, k, order), 0)
+    return Series.make(dense, order)
+
+
+def _old_gf_first_column_k_hooks(k, order):
+    if k < 1:
+        raise ValueError(f"hook size must be >= 1, got {k}")
+    inner_order = order - k
+    if inner_order < 0:
+        return Series.zero(order)
+    dense = [0] * (inner_order + 1)
+    for l in range(1, k + 1):
+        _old_accumulate(dense, _old_inv_finite_pochhammer(k - l, inner_order), 0)
+    total = Series.make(dense, inner_order) * _old_inv_pochhammer_tail(k, inner_order)
+    return total.shift(k)
+
+
+def _outcome(fn, *args):
+    try:
+        s = fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return s.offset, s.order, s.coeffs
+
+
+def _kernel_grid(order):
+    """(new, old, args) at one order: h in -7..6, k in 0..7, a <= 11, b in -1..12."""
+    hs, ks = range(-7, 7), range(0, 8)
+    yield gf_fixed_hooks_double_sum, _old_gf_fixed_hooks_double_sum, (order,)
+    yield gf_fixed_hooks_simplified, _old_gf_fixed_hooks_simplified, (order,)
+    for a in range(-1, 12):
+        yield inv_pochhammer_tail, _old_inv_pochhammer_tail, (a, order)
+        yield inv_finite_pochhammer, _old_inv_finite_pochhammer, (a, order)
+        for b in range(-1, 13):
+            yield q_binomial, _old_q_binomial, (a, b, order)
+    for k in ks:
+        yield gf_M_k, _old_gf_M_k, (k, order)
+        yield gf_first_column_k_hooks, _old_gf_first_column_k_hooks, (k, order)
+    for h in hs:
+        yield gf_ones_exact, _old_gf_ones_exact, (h, order)
+        yield gf_ones_shifted, _old_gf_ones_shifted, (h, order)
+        yield gf_all_h_fixed, _old_gf_all_h_fixed, (h, order)
+        for k in ks:
+            yield gf_h_fixed_part_k, _old_gf_h_fixed_part_k, (h, k, order)
+            yield gf_h_fixed_hook_k, _old_gf_h_fixed_hook_k, (h, k, order)
+
+
+class TestKernelDifferential:
+    @pytest.mark.parametrize("order", [*range(0, 41), 97])
+    def test_same_series_or_error_as_the_summand_products(self, order):
+        for new, old, args in _kernel_grid(order):
+            assert _outcome(new, *args) == _outcome(old, *args), (new.__name__, args)
