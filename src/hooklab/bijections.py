@@ -14,7 +14,6 @@ slides remain on record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .partitions import InvariantError, Partition
@@ -25,31 +24,6 @@ class SlideTrace(NamedTuple):
 
     result: Partition
     slides: int
-
-
-@dataclass
-class BijectionRecord:
-    """Audit trail of one bijection application, for tracing and the CLI."""
-
-    name: str
-    inputs: dict
-    intermediates: dict = field(default_factory=dict)
-    outputs: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        def plain(value):
-            if isinstance(value, Partition):
-                return value.to_list()
-            if isinstance(value, (list, tuple)):
-                return [plain(v) for v in value]
-            return value
-
-        return {
-            "bijection": self.name,
-            "input": {k: plain(v) for k, v in self.inputs.items()},
-            "intermediates": {k: plain(v) for k, v in self.intermediates.items()},
-            "output": {k: plain(v) for k, v in self.outputs.items()},
-        }
 
 
 def _slide_in(arr: list[int], r: int) -> int:
@@ -144,8 +118,27 @@ def f_inverse(a: int, b: int, nu: Partition, rho: Partition) -> tuple[Partition,
     return Partition(_strip_zeros(arr)), Partition._trusted(tuple(mu_parts))
 
 
-def _b_decompose(lam: Partition, i: int) -> tuple[int, Partition, Partition]:
-    """Split lam (with part i of multiplicity i) into (k, tau, eps')."""
+class BSteps(NamedTuple):
+    """One application of B: its decomposition, the rectangle step, and the image."""
+
+    k: int
+    tau: Partition
+    epsilon_prime: Partition
+    gamma: Partition
+    rho: Partition
+    rho_rows: Partition
+    mu: Partition
+    s: int
+
+
+def b_steps(lam: Partition, i: int) -> BSteps:
+    """Apply B to (lam, i) and keep every intermediate; see :func:`b_bijection`.
+
+    lam splits into k - 1 rows above the i x i block, whose boxes beyond
+    column i + 1 form tau, and the rows below the block, whose conjugate is
+    eps'.  F with capacities (k-1, i-1) sends (tau, eps') to (gamma, rho),
+    and the leg rows read the conjugate of rho.
+    """
     if i < 1:
         raise ValueError(f"part size must be >= 1, got {i}")
     if lam.multiplicity(i) != i:
@@ -155,15 +148,13 @@ def _b_decompose(lam: Partition, i: int) -> tuple[int, Partition, Partition]:
         )
     k = 1 + sum(1 for value in lam.parts if value > i)
     tau = Partition._trusted(_strip_zeros([lam.parts[j] - (i + 1) for j in range(k - 1)]))
-    eps = Partition._trusted(lam.parts[k + i - 1 :])
-    return k, tau, eps.conjugate()
-
-
-def _b_assemble(k: int, i: int, gamma: Partition, rho_rows: Partition) -> Partition:
-    """Build the fixed-hook partition from the top block, the i-row, and the leg rows."""
+    eps_prime = Partition._trusted(lam.parts[k + i - 1 :]).conjugate()
+    gamma, rho = f_bijection(k - 1, i - 1, tau, eps_prime)
+    rho_rows = rho.conjugate()
     top = [i + g for g in gamma.parts] + [i] * (k + i - 2 - gamma.t)
     bottom = [1 + r for r in rho_rows.parts] + [1] * (k - 1 - rho_rows.t)
-    return Partition(tuple(top) + (i,) + tuple(bottom))
+    mu = Partition(tuple(top) + (i,) + tuple(bottom))
+    return BSteps(k, tau, eps_prime, gamma, rho, rho_rows, mu, k + i - 1)
 
 
 def b_bijection(lam: Partition, i: int) -> Partition:
@@ -176,9 +167,7 @@ def b_bijection(lam: Partition, i: int) -> Partition:
     fill the k-1 leg rows with parts at most i-1.  The image has its fixed
     hook at position k+i-1, where the part is i.
     """
-    k, tau, eps_prime = _b_decompose(lam, i)
-    gamma, rho = f_bijection(k - 1, i - 1, tau, eps_prime)
-    return _b_assemble(k, i, gamma, rho.conjugate())
+    return b_steps(lam, i).mu
 
 
 def b_inverse(mu: Partition) -> tuple[Partition, int]:
@@ -256,77 +245,3 @@ def mex_map_inverse(mu: Partition, k: int) -> Partition:
         raise InvariantError(f"inverse mex map sent {mu!r} to {lam!r}, which lacks a "
                              f"-1-fixed hook at position {s} with part {k}")
     return lam
-
-
-# -- audit records ------------------------------------------------------------
-
-def f_bijection_record(a: int, b: int, lam: Partition, mu: Partition) -> BijectionRecord:
-    nu, rho = f_bijection(a, b, lam, mu)
-    return BijectionRecord(
-        name="F",
-        inputs={"lam": lam, "mu": mu, "a": a, "b": b},
-        intermediates={},
-        outputs={"nu": nu, "rho": rho},
-    )
-
-
-def f_inverse_record(a: int, b: int, nu: Partition, rho: Partition) -> BijectionRecord:
-    lam, mu = f_inverse(a, b, nu, rho)
-    return BijectionRecord(
-        name="F-inverse",
-        inputs={"nu": nu, "rho": rho, "a": a, "b": b},
-        intermediates={},
-        outputs={"lam": lam, "mu": mu},
-    )
-
-
-def b_bijection_record(lam: Partition, i: int) -> BijectionRecord:
-    k, tau, eps_prime = _b_decompose(lam, i)
-    gamma, rho = f_bijection(k - 1, i - 1, tau, eps_prime)
-    mu = _b_assemble(k, i, gamma, rho.conjugate())
-    return BijectionRecord(
-        name="B",
-        inputs={"lam": lam, "i": i},
-        intermediates={
-            "k": k,
-            "tau": tau,
-            "epsilon_prime": eps_prime,
-            "gamma": gamma,
-            "rho": rho,
-            "rho_rows": rho.conjugate(),
-        },
-        outputs={"mu": mu, "s": k + i - 1},
-    )
-
-
-def b_inverse_record(mu: Partition) -> BijectionRecord:
-    lam, i = b_inverse(mu)
-    report = mu.find_h_fixed_hook(0)
-    return BijectionRecord(
-        name="B-inverse",
-        inputs={"mu": mu},
-        intermediates={"s": report.position, "k": report.position - i + 1},
-        outputs={"lam": lam, "i": i},
-    )
-
-
-def mex_map_record(lam: Partition) -> BijectionRecord:
-    report = lam.find_h_fixed_hook(-1)
-    mu = mex_map(lam)
-    return BijectionRecord(
-        name="mex",
-        inputs={"lam": lam},
-        intermediates={"s": report.position, "k": report.part},
-        outputs={"mu": mu},
-    )
-
-
-def mex_map_inverse_record(mu: Partition, k: int) -> BijectionRecord:
-    lam = mex_map_inverse(mu, k)
-    report = lam.find_h_fixed_hook(-1)
-    return BijectionRecord(
-        name="mex-inverse",
-        inputs={"mu": mu, "k": k},
-        intermediates={"s": report.position, "k": k},
-        outputs={"lam": lam},
-    )

@@ -33,11 +33,12 @@ def _require(args: argparse.Namespace, names: tuple[str, ...], context: str) -> 
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:
-    verify.check_bounds(args.nmax, args.order)
+    verify.check_bounds(nmax=args.nmax)
     stat = verify.STATISTICS[args.statistic]
     _require(args, stat.params, f"seq {args.statistic}")
     point = {name: getattr(args, name) for name in stat.params}
-    values = stat.series_values(point, args.nmax, max(args.order, args.nmax))
+    # every constructor is exact up to its order, so order nmax gives the same values
+    values = stat.series_values(point, args.nmax, args.nmax)
     table = oracle.CountTable(args.statistic, point, values)
     if args.format == "csv":
         sys.stdout.write(table.to_csv())
@@ -59,41 +60,48 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bijection(args: argparse.Namespace) -> int:
+    """Apply one map; --trace adds its inputs and intermediates to the output."""
     forward = args.direction == "forward"
     if args.name == "F":
         _require(args, ("a", "b"), "bijection F")
-        if forward:
-            _require(args, ("lam", "mu"), "bijection F forward")
-            record = bijections.f_bijection_record(
-                args.a, args.b,
-                _parse_partition(args.lam, "--lam"), _parse_partition(args.mu, "--mu"),
-            )
-        else:
-            _require(args, ("nu", "rho"), "bijection F inverse")
-            record = bijections.f_inverse_record(
-                args.a, args.b,
-                _parse_partition(args.nu, "--nu"), _parse_partition(args.rho, "--rho"),
-            )
-    elif args.name == "B":
-        _require(args, ("input",), "bijection B")
+        names = ("lam", "mu", "nu", "rho") if forward else ("nu", "rho", "lam", "mu")
+        _require(args, names[:2], f"bijection F {args.direction}")
+        pair = [_parse_partition(getattr(args, name), f"--{name}") for name in names[:2]]
+        apply = bijections.f_bijection if forward else bijections.f_inverse
+        inputs = {**dict(zip(names, pair)), "a": args.a, "b": args.b}
+        outputs = dict(zip(names[2:], apply(args.a, args.b, *pair)))
+        intermediates = {}
+    else:
+        _require(args, ("input",), f"bijection {args.name}")
         partition = _parse_partition(args.input, "--input")
-        if forward:
+        if args.name == "B" and forward:
             _require(args, ("i",), "bijection B forward")
-            record = bijections.b_bijection_record(partition, args.i)
-        else:
-            record = bijections.b_inverse_record(partition)
-    else:  # mex
-        _require(args, ("input",), "bijection mex")
-        partition = _parse_partition(args.input, "--input")
-        if forward:
-            record = bijections.mex_map_record(partition)
+            steps = bijections.b_steps(partition, args.i)._asdict()
+            inputs = {"lam": partition, "i": args.i}
+            outputs = {"mu": steps.pop("mu"), "s": steps.pop("s")}
+            intermediates = steps
+        elif args.name == "B":
+            lam, i = bijections.b_inverse(partition)
+            s = partition.find_h_fixed_hook(0).position
+            inputs = {"mu": partition}
+            intermediates = {"s": s, "k": s - i + 1}
+            outputs = {"lam": lam, "i": i}
+        elif forward:
+            outputs = {"mu": bijections.mex_map(partition)}
+            report = partition.find_h_fixed_hook(-1)
+            inputs = {"lam": partition}
+            intermediates = {"s": report.position, "k": report.part}
         else:
             _require(args, ("k",), "bijection mex inverse")
-            record = bijections.mex_map_inverse_record(partition, args.k)
-    payload = record.to_json_dict()
-    if not args.trace:
-        payload = {"bijection": payload["bijection"], "output": payload["output"]}
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+            lam = bijections.mex_map_inverse(partition, args.k)
+            inputs = {"mu": partition, "k": args.k}
+            intermediates = {"s": lam.find_h_fixed_hook(-1).position, "k": args.k}
+            outputs = {"lam": lam}
+    payload = {"bijection": args.name if forward else f"{args.name}-inverse"}
+    if args.trace:
+        payload.update(input=inputs, intermediates=intermediates)
+    payload["output"] = outputs
+    sys.stdout.write(json.dumps(payload, indent=2, default=Partition.to_list) + "\n")
     return 0
 
 
@@ -118,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("--h", type=int, default=None)
     p_seq.add_argument("--k", type=int, default=None)
     p_seq.add_argument("--nmax", type=int, default=verify.DEFAULT_NMAX)
-    p_seq.add_argument("--order", type=int, default=verify.DEFAULT_ORDER)
     p_seq.add_argument("--format", choices=("csv", "json", "bfile"), default="csv")
     p_seq.add_argument("--start", type=int, default=1, help="first index in b-file output")
     p_seq.set_defaults(func=_cmd_seq)

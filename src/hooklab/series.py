@@ -443,6 +443,7 @@ def truncated_pentagonal(kk: int, n: int) -> int:
     p = partition_numbers(n)
     total = 0
     for exponent, sign in itertools.islice(pentagonal_exponents(), 2 * kk):
-        if exponent <= n:
-            total += sign * p[n - exponent]
+        if exponent > n:  # the exponents increase, so every later one is above n too
+            break
+        total += sign * p[n - exponent]
     return total

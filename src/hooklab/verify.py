@@ -132,9 +132,9 @@ STATISTICS = {
 }
 
 
-def check_bounds(nmax: int, order: int) -> None:
+def check_bounds(**bounds: int) -> None:
     """Reject a negative coefficient bound or series order: its range would be empty."""
-    for name, value in (("nmax", nmax), ("order", order)):
+    for name, value in bounds.items():
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
 
@@ -328,7 +328,7 @@ def verify_theorem(theorem: str, *, nmax: int = DEFAULT_NMAX, order: int = DEFAU
     """Run one theorem's coefficient-vs-oracle grid and report per-cell status."""
     if theorem not in _VERIFIERS:
         raise ValueError(f"unknown theorem id {theorem!r}; choose from {', '.join(THEOREM_IDS)}")
-    check_bounds(nmax, order)
+    check_bounds(nmax=nmax, order=order)
     if nmax > order:
         raise ValueError(f"nmax={nmax} exceeds the series order {order}")
     return VerificationReport(theorem, nmax, order, _VERIFIERS[theorem](nmax, order, h, k))

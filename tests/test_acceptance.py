@@ -135,9 +135,9 @@ def test_criterion_2_worked_examples():
     reason=(
         "The reference image of the weight-95 example writes the rows below the "
         "fixed hook as 1 + the slide record itself; filling the k-1 leg rows "
-        "(width at most i-1) requires the record's conjugate, and that direct "
-        "direct filling stops being a partition at weight 13, e.g. for "
-        "(3,3,2,2,1,1,1) with i=2.  The invertible map therefore yields "
+        "(width at most i-1) requires the record's conjugate, and direct "
+        "filling stops being a partition at weight 12, first for (3,3,2,2,1,1) "
+        "with i=2 (DECISIONS.md section 3).  The invertible map therefore yields "
         "(...,5,5,4,4,1,1) rather than the reference (...,5,4,4,4,2,1); both "
         "weigh 95 and carry the fixed hook h_{10,1}=10 at part 5."
     ),

@@ -20,7 +20,7 @@ from hooklab import (
     mex_map,
     mex_map_inverse,
 )
-from hooklab.bijections import b_bijection_record
+from hooklab.bijections import b_steps
 from hooklab.oracle import partitions_of
 from hooklab.partitions import Partition
 
@@ -202,8 +202,7 @@ class TestBBijection:
 
     def test_intermediates_of_section_two_example(self):
         lam = P(16, 12, 8, 8, 7, 5, 5, 5, 5, 5, 4, 4, 3, 3, 3, 2)
-        record = b_bijection_record(lam, 5)
-        inter = record.intermediates
+        inter = b_steps(lam, 5)._asdict()
         assert inter["k"] == 6
         assert inter["tau"] == P(10, 6, 2, 2, 1)
         assert inter["epsilon_prime"] == P(6, 6, 5, 2)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,8 @@ from hooklab import InvariantError, Partition, mex_map
 from hooklab.cli import main
 from hooklab.partitions import MAX_ENUMERATION_WEIGHT
 from hooklab.verify import STATISTICS, THEOREM_IDS
+
+GOLDEN_BIJECTIONS = json.loads((Path(__file__).parent / "data" / "bijection_cli.json").read_text())
 
 
 def run(capsys, *argv):
@@ -32,6 +35,14 @@ class TestVerifyCommand:
     def test_pentagonal(self, capsys):
         code, out, _ = run(capsys, "verify", "pentagonal-truncation", "--k", "3", "--nmax", "25")
         assert code == 0
+
+    def test_pentagonal_cost_does_not_grow_with_k(self, capsys):
+        start = time.monotonic()
+        code, out, _ = run(capsys, "verify", "pentagonal-truncation", "--k", "1000000000",
+                           "--nmax", "5", "--order", "5")
+        assert time.monotonic() - start < 1.0
+        assert code == 0
+        assert "MATCH" in out
 
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "verify", "thm4.1", "--h", "0", "--k", "2", "--nmax", "10", "--json")
@@ -158,6 +169,13 @@ class TestBijectionCommand:
         assert code == 2
         assert "JSON" in err
 
+    @pytest.mark.parametrize("case", GOLDEN_BIJECTIONS,
+                             ids=[" ".join(case["argv"][1:]) for case in GOLDEN_BIJECTIONS])
+    def test_output_is_pinned(self, capsys, case):
+        # every (map, direction) pair on the README examples and the weight-95
+        # example, plus each usage and precondition error, with and without --trace
+        assert run(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
 
 class TestStatisticTable:
     def test_default_grids_hold_83_points(self):
@@ -227,7 +245,7 @@ def cli_argv(draw):
     elif command == "seq":
         argv = ["seq", draw(st.sampled_from(list(STATISTICS))),
                 "--format", draw(st.sampled_from(["csv", "json", "bfile"]))]
-        options = {"--nmax": bound, "--order": bound, "--h": param, "--k": param, "--start": bound}
+        options = {"--nmax": bound, "--h": param, "--k": param, "--start": bound}
     else:
         argv = ["bijection", draw(st.sampled_from(["F", "B", "mex"])),
                 "--direction", draw(st.sampled_from(["forward", "inverse"]))]
@@ -238,6 +256,8 @@ def cli_argv(draw):
         options = {"--input": partition, "--lam": partition, "--mu": partition,
                    "--nu": partition, "--rho": partition,
                    "--a": param, "--b": param, "--i": param, "--k": param}
+        if draw(st.booleans()):
+            argv.append("--trace")
     for flag, values in options.items():
         if draw(st.booleans()):
             argv += [flag, str(draw(values))]
