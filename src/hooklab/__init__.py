@@ -5,11 +5,9 @@ invertible combinatorial maps connecting the two, with a CLI front end.
 """
 
 from .partitions import (
-    FixedHookReport,
     InvariantError,
     Partition,
     generate_partitions,
-    make_partition,
 )
 from .series import (
     Series,
@@ -33,12 +31,10 @@ from .series import (
     truncated_pentagonal,
 )
 from .bijections import (
-    SlideTrace,
     b_bijection,
     b_inverse,
     f_bijection,
     f_inverse,
-    insert_part,
     mex_map,
     mex_map_inverse,
 )
@@ -53,24 +49,18 @@ from .oracle import (
     count_mex_class_multi,
     count_ones_exact,
     count_ones_shifted,
-    count_ones_statistics,
-    count_part_multiplicity_class,
     count_parts_eq_mult,
 )
-from .verify import THEOREM_IDS, VerificationReport, verify_theorem
+from .verify import verify_theorem
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CountTable",
-    "FixedHookReport",
     "InvariantError",
     "Partition",
     "Series",
-    "SlideTrace",
-    "THEOREM_IDS",
     "TruncationError",
-    "VerificationReport",
     "b_bijection",
     "b_inverse",
     "count_first_column_k_hooks",
@@ -82,8 +72,6 @@ __all__ = [
     "count_mex_class_multi",
     "count_ones_exact",
     "count_ones_shifted",
-    "count_ones_statistics",
-    "count_part_multiplicity_class",
     "count_parts_eq_mult",
     "f_bijection",
     "f_inverse",
@@ -99,10 +87,8 @@ __all__ = [
     "gf_h_fixed_part_k",
     "gf_ones_exact",
     "gf_ones_shifted",
-    "insert_part",
     "inv_finite_pochhammer",
     "inv_pochhammer_tail",
-    "make_partition",
     "mex_map",
     "mex_map_inverse",
     "partition_numbers",

@@ -1,15 +1,15 @@
-"""Invertible combinatorial maps: slide insertion, the rectangle bijection,
-the fixed-hook bijection, and the mex bijection.
+"""Invertible combinatorial maps: the rectangle bijection, the fixed-hook
+bijection, and the mex bijection.
 
-The slide insertion works on a sequence padded with zero parts up to its
-declared capacity.  A new value R compared from the bottom slides past an
-entry while R minus the slides so far exceeds it, losing one box per
-slide; equality stops the slide.  Equivalently, in beta-coordinates the
-inserted part ends up with beta-number exactly R, which is what makes the
-rectangle map a weight-preserving bijection and fixes every tie.  The
-slide count of an insertion may count zero entries it passed, and an
-inserted value may reach zero, in which case the part vanishes but its
-slides remain on record.
+The rectangle bijection's step is the slide insertion, which works on a
+sequence padded with zero parts up to its declared capacity.  A new value R
+compared from the bottom slides past an entry while R minus the slides so far
+exceeds it, losing one box per slide; equality stops the slide.
+Equivalently, in beta-coordinates the inserted part ends up with beta-number
+exactly R, which is what makes the rectangle map a weight-preserving
+bijection and fixes every tie.  The slide count of an insertion may count
+zero entries it passed, and an inserted value may reach zero, in which case
+the part vanishes but its slides remain on record.
 """
 
 from __future__ import annotations
@@ -17,13 +17,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .partitions import InvariantError, Partition
-
-
-class SlideTrace(NamedTuple):
-    """Result of one insertion: the new partition plus the slide count."""
-
-    result: Partition
-    slides: int
 
 
 def _slide_in(arr: list[int], r: int) -> int:
@@ -34,23 +27,6 @@ def _slide_in(arr: list[int], r: int) -> int:
         s += 1
     arr.insert(t - s, r - s)
     return s
-
-
-def insert_part(p: Partition, r: int) -> SlideTrace:
-    """Insert a positive value into a partition by the slide procedure.
-
-    The inserted part finishes as r - s where s parts slid below it; the
-    weight ledger is |result| = |p| + r - s.  On a genuine partition the
-    inserted value can never reach zero (every slide requires the value to
-    exceed a positive part).
-    """
-    if r <= 0:
-        raise ValueError(f"inserted part must be positive, got {r}")
-    arr = list(p.parts)
-    s = _slide_in(arr, r)
-    if r - s <= 0:
-        raise ValueError(f"inserting {r} into {p!r} would exhaust the part")
-    return SlideTrace(Partition._trusted(tuple(arr)), s)
 
 
 def _strip_zeros(arr: list[int]) -> tuple[int, ...]:

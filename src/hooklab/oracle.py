@@ -147,17 +147,6 @@ def count_parts_eq_mult(n_max: int) -> CountTable:
     return _table("parts-eq-mult", {}, n_max, one)
 
 
-def count_part_multiplicity_class(i: int, n_max: int) -> CountTable:
-    """Partitions of n in which the part i appears exactly i times."""
-    if i < 1:
-        raise ValueError(f"part size must be >= 1, got {i}")
-
-    def one(n: int) -> int:
-        return sum(1 for parts in partitions_of(n) if parts.count(i) == i)
-
-    return _table("mult-eq-part", {"i": i}, n_max, one)
-
-
 def count_h_fixed_by_part(h: int, k: int, n_max: int) -> CountTable:
     """Partitions of n whose h-fixed hook sits at a part of size k."""
     return _fixed_hook_table("fixed-hooks-by-part", {"h": h, "k": k}, h, n_max,
@@ -213,12 +202,6 @@ def count_ones_shifted(h: int, n_max: int) -> CountTable:
                   lambda n: sum(c for (ones, t), c in _ones_census(n - h).items()
                                 if ones == 1 and t >= 1 - h) if n >= h else 0,
                   top=n_max - h)
-
-
-def count_ones_statistics(h: int, n_max: int) -> tuple[CountTable | None, CountTable]:
-    """Both size-one-part statistics; the exact form exists only for h >= -1."""
-    exact = count_ones_exact(h, n_max) if h >= -1 else None
-    return exact, count_ones_shifted(h, n_max)
 
 
 def count_box_partitions(rows: int, cols: int, n_max: int) -> CountTable:

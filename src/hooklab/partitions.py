@@ -14,7 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 # Enumeration guard: exhaustive generation beyond this weight is the wrong
 # tool (p(n) grows superpolynomially); the series side covers larger n.
@@ -28,11 +28,10 @@ class InvariantError(Exception):
 
 
 class FixedHookReport(NamedTuple):
-    """A detected h-fixed hook: hook == part + t - position == position + offset."""
+    """A detected h-fixed hook: hook == part + t - position == position + h."""
 
     position: int
     hook: int
-    offset: int
     part: int
 
 
@@ -80,12 +79,6 @@ class Partition:
     def __repr__(self) -> str:
         return f"Partition({list(self.parts)})"
 
-    def part(self, i: int) -> int:
-        """The i-th part, 1-based."""
-        if not 1 <= i <= len(self.parts):
-            raise ValueError(f"position {i} is outside 1..{len(self.parts)}")
-        return self.parts[i - 1]
-
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram: part j of the conjugate counts parts >= j."""
         if not self.parts:
@@ -113,7 +106,7 @@ class Partition:
         hit = find_fixed_hook(self.parts, h)
         if hit is None:
             return None
-        return FixedHookReport(position=hit[0], hook=hit[1], offset=h, part=hit[2])
+        return FixedHookReport(*hit)
 
     def find_h_fixed_point(self, h: int) -> int | None:
         """The position i with parts[i] == i + h, if any (parts[i] - i is strictly decreasing)."""
@@ -173,11 +166,6 @@ def check_weight(n: int) -> None:
         raise ValueError(f"cannot partition a negative integer: {n}")
     if n > MAX_ENUMERATION_WEIGHT:
         raise ValueError(f"n = {n} exceeds the enumeration bound {MAX_ENUMERATION_WEIGHT}")
-
-
-def make_partition(parts: Sequence[int]) -> Partition:
-    """Validate a nonincreasing sequence of positive integers as a Partition."""
-    return Partition(tuple(parts))
 
 
 def iter_partition_tuples(n: int) -> Iterator[tuple[int, ...]]:

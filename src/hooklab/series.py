@@ -138,14 +138,6 @@ class Series:
 
     __rmul__ = __mul__
 
-    def to_json_dict(self) -> dict:
-        dense = [str(self.coeff(e)) for e in range(self.offset, self.order + 1)]
-        return {"offset": self.offset, "order": self.order, "coeffs": dense}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Series":
-        return cls.make([int(c) for c in data["coeffs"]], int(data["order"]), int(data["offset"]))
-
 
 # -- the product kernel on dense coefficient lists anchored at exponent 0 ----
 

@@ -16,7 +16,6 @@ from hooklab import (
     count_parts_eq_mult,
     f_bijection,
     f_inverse,
-    insert_part,
     mex_map,
     mex_map_inverse,
 )
@@ -27,28 +26,27 @@ from hooklab.partitions import Partition
 from conftest import P
 
 
-class TestInsertPart:
+def insert(lam, r):
+    """Slide-insert r into lam: F with capacity lam.t for lam and the single part r."""
+    return f_bijection(lam.t, 1, lam, Partition((r,)))
+
+
+class TestSlideInsertion:
     def test_figure_replay(self):
-        trace = insert_part(P(7, 5, 3, 2), 9)
-        assert trace.result == P(7, 6, 5, 3, 2)
-        assert trace.slides == 3
+        assert insert(P(7, 5, 3, 2), 9) == (P(7, 6, 5, 3, 2), P(3))
 
     def test_empty_target(self):
-        assert insert_part(P(), 5) == (P(5), 0)
+        assert insert(P(), 5) == (P(5), P())
 
     def test_no_slide(self):
-        assert insert_part(P(3, 2), 1) == (P(3, 2, 1), 0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="positive"):
-            insert_part(P(3), 0)
+        assert insert(P(3, 2), 1) == (P(3, 2, 1), P())
 
     def test_weight_ledger(self):
         for parts in partitions_of(8):
             for r in range(1, 7):
-                trace = insert_part(Partition(parts), r)
-                assert trace.result.n == sum(parts) + r - trace.slides
-                assert trace.slides <= len(parts)
+                nu, rho = insert(Partition(parts), r)
+                assert nu.n == sum(parts) + r - rho.n
+                assert rho.n <= len(parts)
 
 
 class TestFBijection:

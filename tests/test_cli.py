@@ -12,7 +12,9 @@ from hooklab.cli import main
 from hooklab.partitions import MAX_ENUMERATION_WEIGHT
 from hooklab.verify import STATISTICS, THEOREM_IDS
 
-GOLDEN_BIJECTIONS = json.loads((Path(__file__).parent / "data" / "bijection_cli.json").read_text())
+DATA = Path(__file__).parent / "data"
+GOLDEN_BIJECTIONS = json.loads((DATA / "bijection_cli.json").read_text())
+GOLDEN_VERIFY = json.loads((DATA / "verify_reports.json").read_text())
 
 
 def run(capsys, *argv):
@@ -60,6 +62,13 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "thm2.1", "--nmax", "70", "--order", "60")
         assert code == 2
         assert "exceeds" in err
+
+    @pytest.mark.parametrize("case", GOLDEN_VERIFY,
+                             ids=[" ".join(case["argv"][1:]) for case in GOLDEN_VERIFY])
+    def test_output_is_pinned(self, capsys, case):
+        # every theorem id, text and --json, at the defaults and at
+        # --nmax 12 --order 24 --h -1 --k 2
+        assert run(capsys, *case["argv"]) == (case["code"], case["stdout"], "")
 
 
 class TestSeqCommand:

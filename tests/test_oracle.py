@@ -15,9 +15,8 @@ from hooklab import (
     count_mex_class_multi,
     count_ones_exact,
     count_ones_shifted,
-    count_ones_statistics,
-    count_part_multiplicity_class,
     count_parts_eq_mult,
+    generate_partitions,
     partition_numbers,
 )
 from hooklab.oracle import count_box_partitions, partition_counts, partitions_of
@@ -39,7 +38,8 @@ class TestFixedHookCounts:
 
     def test_parts_eq_mult_split_at_nine(self):
         # twelve occurrences split as seven (i=1), four (i=2), one (i=3)
-        split = [count_part_multiplicity_class(i, 9)[9] for i in (1, 2, 3)]
+        split = [sum(1 for lam in generate_partitions(9) if lam.multiplicity(i) == i)
+                 for i in (1, 2, 3)]
         assert split == [7, 4, 1]
         assert sum(split) == count_parts_eq_mult(9)[9]
 
@@ -115,11 +115,10 @@ class TestOnesCounts:
             shifted = count_ones_shifted(h, 15)
             assert hooks.values == shifted.values
 
-    def test_combined_statistics(self):
-        exact, shifted = count_ones_statistics(0, 6)
-        assert exact is not None and exact.values == shifted.values
-        exact, shifted = count_ones_statistics(-2, 6)
-        assert exact is None and shifted[3] == 1
+    def test_shifted_below_the_exact_domain(self):
+        # h = -2 has no exact-ones form; at n = 3 the shifted form counts the
+        # partitions of 5 with at least 3 parts and exactly one 1: only (2,2,1)
+        assert count_ones_shifted(-2, 6)[3] == 1
 
 
 class TestSerialization:
@@ -263,3 +262,11 @@ def test_oracle_never_imports_series():
             todo.extend(_package_imports(root / f"{module}.py"))
     assert "partitions" in seen
     assert "series" not in seen, seen
+
+
+def test_package_has_no_assert_statements():
+    """Invariants are checks that raise: python -O strips assert statements."""
+    root = Path(hooklab.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(root.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert not found, found

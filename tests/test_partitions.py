@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from hooklab import Partition, generate_partitions, make_partition, partition_numbers
+from hooklab import Partition, generate_partitions, partition_numbers
 from hooklab.partitions import MAX_ENUMERATION_WEIGHT, iter_partition_tuples
 
 from conftest import P
@@ -12,24 +12,24 @@ partitions_st = st.lists(st.integers(1, 12), max_size=10).map(
 )
 
 
-class TestMakePartition:
+class TestPartitionConstruction:
     def test_basic(self):
-        p = make_partition([2, 2, 1])
+        p = Partition((2, 2, 1))
         assert p.n == 5 and p.t == 3
 
     def test_empty(self):
-        p = make_partition([])
+        p = Partition(())
         assert p.n == 0 and p.t == 0
 
     def test_order_violation_names_index(self):
         with pytest.raises(ValueError, match="part 1"):
-            make_partition([1, 2])
+            Partition((1, 2))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="part 2"):
-            make_partition([3, 0])
+            Partition((3, 0))
         with pytest.raises(ValueError):
-            make_partition([3, -1])
+            Partition((3, -1))
 
     def test_immutable_and_hashable(self):
         p = P(3, 1)

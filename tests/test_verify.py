@@ -1,8 +1,59 @@
 import pytest
 
 import hooklab.verify as verify_mod
-from hooklab import CountTable, verify_theorem
+from hooklab import CountTable, Series, oracle, series, verify_theorem
 from hooklab.cli import main
+
+# every (theorem id, side) pair: the oracle counter or series constructor the
+# verifier reads for that side of its identity
+SIDES = [
+    ("thm2.1", oracle, "count_fixed_hooks"),
+    ("thm2.1", oracle, "count_parts_eq_mult"),
+    ("thm2.1", series, "gf_fixed_hooks_double_sum"),
+    ("thm2.1", series, "gf_fixed_hooks_simplified"),
+    ("prop2.2", series, "inv_finite_pochhammer"),
+    ("prop2.2", series, "q_binomial"),
+    ("prop2.2", oracle, "count_box_partitions"),
+    ("thm3.2", oracle, "count_h_fixed_by_part"),
+    ("thm3.2", series, "gf_h_fixed_part_k"),
+    ("thm3.3", oracle, "count_h_fixed_by_part"),
+    ("thm3.3", oracle, "count_ones_exact"),
+    ("thm3.3", series, "gf_ones_exact"),
+    ("thm3.4", oracle, "count_h_fixed_by_part"),
+    ("thm3.4", oracle, "count_ones_shifted"),
+    ("thm3.4", series, "gf_ones_shifted"),
+    ("thm3.5", oracle, "count_h_fixed_by_part"),
+    ("thm3.5", oracle, "count_generalized_mex"),
+    ("thm3.5", series, "gf_generalized_mex"),
+    ("cor3.6", oracle, "count_mex_class"),
+    ("cor3.6", oracle, "count_h_fixed_by_part"),
+    ("cor3.6", series, "gf_M_k"),
+    ("thm4.1", oracle, "count_h_fixed_by_hook"),
+    ("thm4.1", series, "gf_h_fixed_hook_k"),
+    ("thm4.2", oracle, "count_fixed_hooks"),
+    ("thm4.2", series, "gf_all_h_fixed"),
+    ("thm4.2", series, "gf_h_fixed_part_k"),
+    ("thm4.3", oracle, "count_first_column_k_hooks"),
+    ("thm4.3", series, "gf_first_column_k_hooks"),
+    ("thm4.3", series, "gf_h_fixed_hook_k"),
+    ("pentagonal-truncation", oracle, "count_mex_class"),
+    ("pentagonal-truncation", series, "truncated_pentagonal"),
+]
+
+
+def _off_by_one_at_3(func):
+    """func with 1 added to its value at n = 3."""
+
+    def wrapped(*args):
+        value = func(*args)
+        if isinstance(value, Series):
+            return value + Series.monomial(3, value.order)
+        if isinstance(value, CountTable):
+            values = {n: c + (n == 3) for n, c in value.values.items()}
+            return CountTable(value.statistic, value.params, values)
+        return value + (args[-1] == 3)  # truncated_pentagonal(k, n) is one coefficient
+
+    return wrapped
 
 
 class TestReports:
@@ -48,3 +99,11 @@ class TestReports:
         assert code == 1
         assert "MISMATCH" in capsys.readouterr().out
 
+
+    @pytest.mark.parametrize("theorem, module, name", SIDES,
+                             ids=[f"{theorem}-{name}" for theorem, _, name in SIDES])
+    def test_every_side_is_compared(self, monkeypatch, capsys, theorem, module, name):
+        # q_binomial is an lru_cache object; the wrapper calls it, it does not patch it
+        monkeypatch.setattr(module, name, _off_by_one_at_3(getattr(module, name)))
+        assert main(["verify", theorem, "--nmax", "8", "--order", "16"]) == 1
+        assert "MISMATCH" in capsys.readouterr().out
