@@ -1,10 +1,17 @@
 """Brute-force counting oracles, independent of the series engine.
 
 Every statistic here is computed by exhaustively enumerating partitions
-and testing the defining predicate directly on parts and first-column
-hook lengths.  Each statistic that a verification grid refines (fixed
-hooks, mex classes, box fits, ones, first-column hooks) is read from one
-memoized census per weight, so every cell of a grid shares one sweep.
+and counting them one by one; no count comes from a formula.  Each
+statistic that a verification grid refines is read from a memoized
+census, so the cells of a grid share its sweeps:
+
+* fixed hooks, box fits and first-column hooks test their predicate on
+  every partition of n, one census per weight;
+* the mex and ones classes are built from their definition, one census
+  per (class, weight): a fixed prefix of small parts plus every partition
+  of the rest into parts above a floor, so only the partitions of the
+  class are generated, each once.
+
 Nothing in this module imports :mod:`hooklab.series`; agreement between
 the two sides is what the verification layer checks.
 """
@@ -16,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .partitions import check_weight, find_fixed_hook, iter_partition_tuples, mex_of
+from .partitions import check_weight, find_fixed_hook, iter_partition_tuples
 
 
 def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
@@ -69,18 +76,57 @@ def _fixed_hook_census(h: int, n: int) -> Counter:
     return Counter(find_fixed_hook(parts, h) for parts in partitions_of(n))
 
 
+def _lengths_from(n: int, floor: int) -> dict[int, int]:
+    """How many partitions of n into parts >= floor have each number of parts."""
+    if n == 0:
+        return {0: 1}
+    if n < floor:
+        return {}
+    # AccelAsc (Kelleher & O'Sullivan) started at the floor: a[0..k-1] is the
+    # stack of parts below the last two, each partition is visited once, and
+    # y + 1 + sum(a[0..k-1]) == n at the top of the loop.
+    counts = [0] * (n // floor + 1)
+    a = [0] * (n // floor + 1)
+    a[0] = floor - 1
+    k = 1
+    y = n - floor
+    while k:
+        x = a[k - 1] + 1
+        k -= 1
+        while 2 * x <= y:
+            a[k] = x
+            y -= x
+            k += 1
+        while x <= y:  # a[0..k-1] + (x, y)
+            counts[k + 2] += 1
+            x += 1
+            y -= 1
+        counts[k + 1] += 1  # a[0..k-1] + (x + y,)
+        a[k] = x + y
+        y = x + y - 1
+    return {t: c for t, c in enumerate(counts) if c}
+
+
 @functools.lru_cache(maxsize=None)
-def _mex_census(n: int) -> Counter:
-    """How many partitions of n have each (mex, #parts below it - #parts above it)."""
+def _mex_census(k: int, n: int) -> Counter:
+    """How many partitions of n with mex k have each #parts below k - #parts above it.
+
+    Such a partition is one or more copies of each of 1..k-1 (the prefix) plus
+    a partition of the rest into parts >= k + 1, so every one of them is
+    generated once: each prefix by its multiplicities, each rest by
+    _lengths_from.
+    """
     census: Counter = Counter()
-    for parts in partitions_of(n):
-        m = mex_of(parts)
-        below = 0  # the parts below the mex are the trailing ones; none equals it
-        for value in reversed(parts):
-            if value > m:
-                break
-            below += 1
-        census[m, 2 * below - len(parts)] += 1
+    if k * (k - 1) // 2 > n:  # no prefix fits, and k may be far too large to walk 1..k-1
+        return census
+    prefixes = [(0, 0)]  # (weight, #parts) of the multiplicities of 1..part-1
+    for part in range(1, k):
+        room = n - (part + k) * (k - 1 - part) // 2  # n less one copy each of part+1..k-1
+        prefixes = [(weight + part * m, below + m) for weight, below in prefixes
+                    for m in range(1, (room - weight) // part + 1)]
+    for weight, below in prefixes:
+        for above, c in _lengths_from(n - weight, k + 1).items():
+            census[below - above] += c
     return census
 
 
@@ -91,9 +137,11 @@ def _box_census(n: int) -> Counter:
 
 
 @functools.lru_cache(maxsize=None)
-def _ones_census(n: int) -> Counter:
-    """How many partitions of n have each (#parts equal to 1, #parts)."""
-    return Counter((parts.count(1), len(parts)) for parts in partitions_of(n))
+def _ones_census(ones: int, n: int) -> dict[int, int]:
+    """How many partitions of n with exactly `ones` parts equal to 1 have each #parts."""
+    if n < ones:
+        return {}
+    return {ones + t: c for t, c in _lengths_from(n - ones, 2).items()}
 
 
 @functools.lru_cache(maxsize=None)
@@ -118,8 +166,7 @@ def _mex_table(statistic: str, params: dict[str, int], h: int, k: int,
                n_max: int) -> CountTable:
     """Partitions of n with mex k where h + 1 + #parts>k exceeds #parts<k."""
     return _table(statistic, params, n_max,
-                  lambda n: sum(c for (m, diff), c in _mex_census(n).items()
-                                if m == k and diff < h + 1))
+                  lambda n: sum(c for diff, c in _mex_census(k, n).items() if diff < h + 1))
 
 
 def count_fixed_hooks(h: int, n_max: int) -> CountTable:
@@ -175,7 +222,7 @@ def count_mex_class(k: int, n_max: int) -> CountTable:
 
 
 def count_mex_class_multi(ks: tuple[int, ...], n_max: int) -> dict[int, CountTable]:
-    """M_k(n) for several k, read from one mex census per n."""
+    """M_k(n) for several k, each read from the mex census of its own k."""
     if any(k < 1 for k in ks):
         raise ValueError(f"mex values must be >= 1, got {ks}")
     return {k: _mex_table("mex-class", {"k": k}, -1, k, n_max) for k in ks}
@@ -193,14 +240,14 @@ def count_ones_exact(h: int, n_max: int) -> CountTable:
     if h < -1:
         raise ValueError(f"the exact-ones statistic needs h >= -1, got {h}")
     return _table("ones-exact", {"h": h}, n_max,
-                  lambda n: sum(c for (ones, t), c in _ones_census(n).items() if ones == h + 1))
+                  lambda n: sum(_ones_census(h + 1, n).values()))
 
 
 def count_ones_shifted(h: int, n_max: int) -> CountTable:
     """Partitions of n-h with at least 1-h parts and exactly one part 1, tabulated at n."""
     return _table("ones-shifted", {"h": h}, n_max,
-                  lambda n: sum(c for (ones, t), c in _ones_census(n - h).items()
-                                if ones == 1 and t >= 1 - h) if n >= h else 0,
+                  lambda n: sum(c for t, c in _ones_census(1, n - h).items() if t >= 1 - h)
+                  if n >= h else 0,
                   top=n_max - h)
 
 

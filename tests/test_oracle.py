@@ -1,5 +1,6 @@
 import ast
 import itertools
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,8 +20,15 @@ from hooklab import (
     generate_partitions,
     partition_numbers,
 )
-from hooklab.oracle import count_box_partitions, partition_counts, partitions_of
-from hooklab.partitions import MAX_ENUMERATION_WEIGHT, iter_partition_tuples
+from hooklab.oracle import (
+    _lengths_from,
+    _mex_census,
+    _ones_census,
+    count_box_partitions,
+    partition_counts,
+    partitions_of,
+)
+from hooklab.partitions import MAX_ENUMERATION_WEIGHT, iter_partition_tuples, mex_of
 
 
 class TestFixedHookCounts:
@@ -150,6 +158,9 @@ class TestGeneratorGate:
         lambda: partitions_of(MAX_ENUMERATION_WEIGHT + 1),
         lambda: count_fixed_hooks(0, MAX_ENUMERATION_WEIGHT + 1),
         lambda: count_mex_class_multi((1, 2), MAX_ENUMERATION_WEIGHT + 1),
+        lambda: count_generalized_mex(0, 3, MAX_ENUMERATION_WEIGHT + 1),
+        lambda: count_mex_class(2, MAX_ENUMERATION_WEIGHT + 1),
+        lambda: count_ones_exact(0, MAX_ENUMERATION_WEIGHT + 1),
         # visits partitions of n - h, so the bound is crossed at n_max = bound - 9
         lambda: count_ones_shifted(-10, MAX_ENUMERATION_WEIGHT - 9),
     ])
@@ -232,6 +243,60 @@ class TestCensusDifferential:
             assert count_box_partitions(rows, cols, self.N).values == {
                 n: sum(len(parts) <= rows and all(v <= cols for v in parts) for parts in ps)
                 for n, ps in partitions.items()}, (rows, cols)
+
+
+def _whole_mex_census(parts_of_n):
+    """(mex, #below - #above) counts of whole partitions, as the single-sweep census kept them."""
+    census = Counter()
+    for parts in parts_of_n:
+        m = mex_of(parts)
+        below = 0
+        for value in reversed(parts):
+            if value > m:
+                break
+            below += 1
+        census[m, 2 * below - len(parts)] += 1
+    return census
+
+
+class TestPrefixSplitDifferential:
+    """The prefix-split censuses against the whole-partition sweeps they replaced."""
+
+    N = 35
+
+    @pytest.fixture(scope="class")
+    def partitions(self):
+        return {n: list(iter_partition_tuples(n)) for n in range(self.N + 1)}
+
+    def test_lengths_from_matches_filter(self, partitions):
+        for n in range(31):
+            for floor in range(1, n + 3):
+                expected = Counter(len(parts) for parts in partitions[n]
+                                   if all(value >= floor for value in parts))
+                assert _lengths_from(n, floor) == dict(expected), (n, floor)
+
+    def test_lengths_from_edges(self):
+        assert _lengths_from(0, 1) == {0: 1}
+        assert _lengths_from(0, 7) == {0: 1}
+        # a rest below the floor has no partition, not one of a single part
+        assert _lengths_from(3, 4) == {}
+        assert _lengths_from(4, 4) == {1: 1}
+
+    def test_mex_census(self, partitions):
+        for n, ps in partitions.items():
+            whole = _whole_mex_census(ps)
+            for k in {m for m, _ in whole}:
+                assert _mex_census(k, n) == {diff: c for (m, diff), c in whole.items()
+                                             if m == k}, (k, n)
+            assert not _mex_census(max(m for m, _ in whole) + 1, n), n
+
+    def test_ones_census(self, partitions):
+        for n, ps in partitions.items():
+            whole = Counter((parts.count(1), len(parts)) for parts in ps)
+            for j in {ones for ones, _ in whole}:
+                assert _ones_census(j, n) == {t: c for (ones, t), c in whole.items()
+                                              if ones == j}, (j, n)
+            assert not _ones_census(n + 1, n), n
 
 
 def _package_imports(path: Path) -> set[str]:
