@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 import hooklab.verify as verify_mod
@@ -41,19 +44,30 @@ SIDES = [
 ]
 
 
-def _off_by_one_at_3(func):
-    """func with 1 added to its value at n = 3."""
+# the exit code and stdout of `verify` with one side off by one: each SIDES
+# entry at n = 3, and the two sides of thm3.3's stated n = 0 exception
+MISMATCHES = json.loads((Path(__file__).parent / "data" / "verify_mismatches.json").read_text())
+MODULES = {"oracle": oracle, "series": series}
+
+
+def _off_by_one_at(at, func):
+    """func with 1 added to its value at n = at."""
 
     def wrapped(*args):
         value = func(*args)
         if isinstance(value, Series):
-            return value + Series.monomial(3, value.order)
+            return value + Series.monomial(at, value.order)
         if isinstance(value, CountTable):
-            values = {n: c + (n == 3) for n, c in value.values.items()}
+            values = {n: c + (n == at) for n, c in value.values.items()}
             return CountTable(value.statistic, value.params, values)
-        return value + (args[-1] == 3)  # truncated_pentagonal(k, n) is one coefficient
+        return value + (args[-1] == at)  # truncated_pentagonal(k, n) is one coefficient
 
     return wrapped
+
+
+def _case_id(case):
+    theorem, name = case["argv"][1], case["side"].split(".")[1]
+    return f"{theorem}-{name}" if case["n"] == 3 else f"{theorem}-{name}-n{case['n']}"
 
 
 class TestReports:
@@ -100,10 +114,20 @@ class TestReports:
         assert "MISMATCH" in capsys.readouterr().out
 
 
-    @pytest.mark.parametrize("theorem, module, name", SIDES,
-                             ids=[f"{theorem}-{name}" for theorem, _, name in SIDES])
-    def test_every_side_is_compared(self, monkeypatch, capsys, theorem, module, name):
+    def test_every_side_has_a_pinned_mismatch(self):
+        pinned = [(case["argv"], case["side"], case["n"]) for case in MISMATCHES]
+        for theorem, module, name in SIDES:
+            argv = ["verify", theorem, "--nmax", "8", "--order", "16"]
+            assert (argv, f"{module.__name__.split('.')[-1]}.{name}", 3) in pinned
+
+    @pytest.mark.parametrize("case", MISMATCHES, ids=[_case_id(case) for case in MISMATCHES])
+    def test_every_side_is_compared(self, monkeypatch, capsys, case):
+        module, name = case["side"].split(".")
         # q_binomial is an lru_cache object; the wrapper calls it, it does not patch it
-        monkeypatch.setattr(module, name, _off_by_one_at_3(getattr(module, name)))
-        assert main(["verify", theorem, "--nmax", "8", "--order", "16"]) == 1
-        assert "MISMATCH" in capsys.readouterr().out
+        monkeypatch.setattr(MODULES[module], name,
+                            _off_by_one_at(case["n"], getattr(MODULES[module], name)))
+        code = main(case["argv"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "MISMATCH" in out
+        assert (code, out) == (case["code"], case["stdout"])
