@@ -1,9 +1,10 @@
 """Cross-verification of series coefficients against the enumeration oracle.
 
 Each theorem id wires at least one generating-function constructor to at
-least one brute-force counter and compares them cell by cell over a
-parameter grid.  A mismatching cell records the first divergent n with
-both values so a failure can be bisected immediately.
+least one brute-force counter over a parameter grid: its verifier yields
+the cells with every side computed, and one runner compares them.  A
+mismatching cell records the first divergent n with both values so a
+failure can be bisected immediately.
 
 :data:`STATISTICS` pairs each sequence that ``hooklab seq`` exports with its
 series constructor and its oracle counter; Theorems 3.2 and 4.1 are exactly
@@ -15,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import oracle, series
 from .partitions import check_weight
@@ -24,6 +25,10 @@ DEFAULT_NMAX = 30
 DEFAULT_ORDER = 60
 DEFAULT_H_GRID = tuple(range(-3, 4))
 DEFAULT_K_GRID = tuple(range(1, 6))
+# the largest round series order at which the slowest path of each command ends
+# within a minute (DECISIONS.md section 11): verify thm4.3, seq fixed-hooks
+MAX_VERIFY_ORDER = 1200
+MAX_SEQ_NMAX = 10000
 
 
 @dataclass
@@ -132,133 +137,123 @@ STATISTICS = {
 }
 
 
-def check_bounds(**bounds: int) -> None:
-    """Reject a negative coefficient bound or series order: its range would be empty."""
+def check_bounds(series_order: str, limit: int, **bounds: int) -> None:
+    """Reject a negative bound, whose range would be empty, and a series order past
+    limit, which would run for minutes: both before any list is allocated."""
     for name, value in bounds.items():
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
+    order = bounds[series_order]
+    if order > limit:
+        raise ValueError(f"{series_order}={order} exceeds the series-order bound {limit}")
 
 
-def _compare_sequences(params: dict[str, int], expected: dict[int, int],
-                       *actuals: dict[int, int], note: str = "") -> CellResult:
-    """The first divergence of expected from each actual in turn, or a match."""
-    for actual in actuals:
-        for n in sorted(expected):
-            if expected[n] != actual[n]:
-                return CellResult(params, "mismatch", (n, expected[n], actual[n]), note)
+# A check is (expected, actuals, note): expected is compared with each actual
+# over its keys.  A cell is (params, checks, note), note being that of a match.
+Check = tuple[dict[int, int], list[dict[int, int]], str]
+Cell = tuple[dict[str, int], list[Check], str]
+
+
+def _run(params: dict[str, int], checks: list[Check], note: str) -> CellResult:
+    """The first divergence among the checks, with that check's note, or a match."""
+    for expected, actuals, check_note in checks:
+        for actual in actuals:
+            for n in sorted(expected):
+                if expected[n] != actual[n]:
+                    return CellResult(params, "mismatch", (n, expected[n], actual[n]), check_note)
     return CellResult(params, "match", None, note)
 
 
-def _first_mismatch(*cells: CellResult) -> CellResult:
-    """The first mismatching cell, or the last one when all match."""
-    return next((cell for cell in cells if cell.status == "mismatch"), cells[-1])
+# -- per-theorem verifiers: each yields its cells in grid order ---------------
 
-
-# -- per-theorem verifiers ----------------------------------------------------
-
-def _verify_statistic(name: str, nmax: int, order: int, h, k) -> list[CellResult]:
+def _verify_statistic(name: str, nmax: int, order: int, h, k) -> Iterator[Cell]:
     stat = STATISTICS[name]
     points = stat.grid(h, k)
     if not points:
         raise ValueError(f"no point of the requested grid satisfies {stat.domain}")
-    return [_compare_sequences(point, stat.oracle_values(point, nmax),
-                               stat.series_values(point, nmax, order))
-            for point in points]
+    for point in points:
+        checks = [(stat.oracle_values(point, nmax), [stat.series_values(point, nmax, order)], "")]
+        yield point, checks, ""
 
 
-def _verify_thm21(nmax: int, order: int, h, k) -> list[CellResult]:
+def _verify_thm21(nmax: int, order: int, h, k) -> Iterator[Cell]:
     hooks = oracle.count_fixed_hooks(0, nmax).values
     others = (
         ("parts-eq-mult", oracle.count_parts_eq_mult(nmax).values),
         ("double-sum", _series_values(series.gf_fixed_hooks_double_sum(order), nmax)),
         ("simplified", _series_values(series.gf_fixed_hooks_simplified(order), nmax)),
     )
-    checks = [_compare_sequences({}, hooks, other, note=f"vs {name}") for name, other in others]
-    return [_first_mismatch(*checks, CellResult({}, "match", None,
-                                                "oracle = parts-eq-mult = both series forms"))]
+    checks = [(hooks, [other], f"vs {name}") for name, other in others]
+    yield {}, checks, "oracle = parts-eq-mult = both series forms"
 
 
-def _verify_prop22(nmax: int, order: int, h, k) -> list[CellResult]:
-    cells = []
-    for a in range(9):
-        for b in range(9):
-            params = {"a": a, "b": b}
-            lhs = series.inv_finite_pochhammer(a, order) * series.inv_finite_pochhammer(b, order)
-            rhs = series.inv_finite_pochhammer(a + b, order) * series.q_binomial(a + b, a, order)
-            # oracle side: the q-binomial factor counts partitions in an a x b box
-            gf = series.q_binomial(a + b, a, order)
-            top = min(nmax, a * b)
-            counted = oracle.count_box_partitions(a, b, top).values
-            cells.append(_first_mismatch(
-                _compare_sequences(params, _series_values(lhs, order), _series_values(rhs, order)),
-                _compare_sequences(params, counted, _series_values(gf, top),
-                                   note="series identity plus box-partition counts"),
-            ))
-    return cells
+def _verify_prop22(nmax: int, order: int, h, k) -> Iterator[Cell]:
+    note = "series identity plus box-partition counts"
+    for a, b in itertools.product(range(9), repeat=2):
+        lhs = series.inv_finite_pochhammer(a, order) * series.inv_finite_pochhammer(b, order)
+        rhs = series.inv_finite_pochhammer(a + b, order) * series.q_binomial(a + b, a, order)
+        # oracle side: the q-binomial factor counts partitions in an a x b box
+        gf = series.q_binomial(a + b, a, order)
+        top = min(nmax, a * b)
+        counted = oracle.count_box_partitions(a, b, top).values
+        checks = [(_series_values(lhs, order), [_series_values(rhs, order)], ""),
+                  (counted, [_series_values(gf, top)], note)]
+        yield {"a": a, "b": b}, checks, note
 
 
-def _verify_thm33(nmax: int, order: int, h, k) -> list[CellResult]:
+def _verify_thm33(nmax: int, order: int, h, k) -> Iterator[Cell]:
     hs = tuple(hv for hv in _axis(h, DEFAULT_H_GRID) if hv >= -1)
     if not hs:
         raise ValueError("thm3.3 is stated for h >= -1 only")
-    cells = []
     for hv in hs:
         hooks = oracle.count_h_fixed_by_part(hv, 1, nmax).values
-        ones = dict(oracle.count_ones_exact(hv, nmax).values)
+        ones = oracle.count_ones_exact(hv, nmax).values
         coeffs = _series_values(series.gf_ones_exact(hv, order), nmax)
-        note = ""
         if hv == -1:
             # Stated exception: at n=0 the empty partition has zero 1s
             # but no -1-fixed hook; the series already drops that term.
-            if ones.get(0) != 1 or hooks.get(0) != 0:
-                cells.append(CellResult({"h": hv}, "mismatch", (0, 1, ones.get(0, -1)),
-                                        "expected the documented n=0 exception"))
-                continue
-            ones[0] = 0
+            stated = "expected the documented n=0 exception"
             note = "n=0 exception applied as stated"
-        cells.append(_compare_sequences({"h": hv}, hooks, ones, coeffs, note=note))
-    return cells
+            checks = [({0: 0}, [hooks], stated), ({0: 1}, [ones], stated),
+                      (hooks, [{**ones, 0: 0}, coeffs], note)]
+        else:
+            note, checks = "", [(hooks, [ones, coeffs], "")]
+        yield {"h": hv}, checks, note
 
 
-def _verify_thm34(nmax: int, order: int, h, k) -> list[CellResult]:
-    cells = []
+def _verify_thm34(nmax: int, order: int, h, k) -> Iterator[Cell]:
     for hv in _axis(h, DEFAULT_H_GRID):
         hooks = oracle.count_h_fixed_by_part(hv, 1, nmax).values
         shifted = oracle.count_ones_shifted(hv, nmax).values
         coeffs = _series_values(series.gf_ones_shifted(hv, order), nmax)
-        cells.append(_compare_sequences({"h": hv}, hooks, shifted, coeffs))
-    return cells
+        yield {"h": hv}, [(hooks, [shifted, coeffs], "")], ""
 
 
-def _verify_thm35(nmax: int, order: int, h, k) -> list[CellResult]:
+def _verify_thm35(nmax: int, order: int, h, k) -> Iterator[Cell]:
     grid = [(hv, kv, kv * (kv - 1) // 2 - (hv + 1))
             for hv in _axis(h, DEFAULT_H_GRID) for kv in _axis(k, DEFAULT_K_GRID)]
     # the mex side reads weights up to nmax + shift: refuse the grid before any cell runs
     check_weight(nmax + max(max(shift, 0) for _, _, shift in grid))
-    cells = []
     for hv, kv, shift in grid:
         hooks = oracle.count_h_fixed_by_part(hv, kv, nmax).values
         mexes = oracle.count_generalized_mex(hv, kv, nmax + max(shift, 0)).values
         shifted = {n: (mexes[n + shift] if n + shift >= 0 else 0) for n in range(nmax + 1)}
         coeffs = _series_values(series.gf_generalized_mex(hv, kv, order), nmax)
-        cells.append(_compare_sequences({"h": hv, "k": kv}, hooks, shifted, coeffs))
-    return cells
+        yield {"h": hv, "k": kv}, [(hooks, [shifted, coeffs], "")], ""
 
 
-def _verify_cor36(nmax: int, order: int, h, k) -> list[CellResult]:
-    cells = []
+def _verify_cor36(nmax: int, order: int, h, k) -> Iterator[Cell]:
     for kv in _axis(k, DEFAULT_K_GRID):
         shift = kv * (kv - 1) // 2
         mexes = oracle.count_mex_class(kv, nmax).values
         hooks = oracle.count_h_fixed_by_part(-1, kv, nmax).values
         derived = {n: (hooks[n - shift] if n - shift >= 0 else 0) for n in range(nmax + 1)}
         coeffs = _series_values(series.gf_M_k(kv, order), nmax)
-        cells.append(_compare_sequences({"k": kv}, mexes, derived, coeffs))
-    return cells
+        yield {"k": kv}, [(mexes, [derived, coeffs], "")], ""
 
 
-def _verify_thm42(nmax: int, order: int, h, k) -> list[CellResult]:
-    cells = []
+def _verify_thm42(nmax: int, order: int, h, k) -> Iterator[Cell]:
+    note = "includes part-size resummation"
     for hv in _axis(h, DEFAULT_H_GRID):
         counts = oracle.count_fixed_hooks(hv, nmax).values
         coeffs = _series_values(series.gf_all_h_fixed(hv, order), nmax)
@@ -266,16 +261,12 @@ def _verify_thm42(nmax: int, order: int, h, k) -> list[CellResult]:
         total = series.Series.zero(order)
         for kv in range(1, order + 1):
             total = total + series.gf_h_fixed_part_k(hv, kv, order)
-        cells.append(_first_mismatch(
-            _compare_sequences({"h": hv}, counts, coeffs),
-            _compare_sequences({"h": hv}, counts, _series_values(total, nmax),
-                               note="includes part-size resummation"),
-        ))
-    return cells
+        checks = [(counts, [coeffs], ""), (counts, [_series_values(total, nmax)], note)]
+        yield {"h": hv}, checks, note
 
 
-def _verify_thm43(nmax: int, order: int, h, k) -> list[CellResult]:
-    cells = []
+def _verify_thm43(nmax: int, order: int, h, k) -> Iterator[Cell]:
+    note = "includes h-resummation"
     for kv in _axis(k, DEFAULT_K_GRID):
         counts = oracle.count_first_column_k_hooks(kv, nmax).values
         gf = series.gf_first_column_k_hooks(kv, order)
@@ -286,24 +277,21 @@ def _verify_thm43(nmax: int, order: int, h, k) -> list[CellResult]:
         while kv + (kv - hv - 1) <= order:
             total = total + series.gf_h_fixed_hook_k(hv, kv, order)
             hv -= 1
-        cells.append(_first_mismatch(
-            _compare_sequences({"k": kv}, counts, _series_values(gf, nmax)),
-            _compare_sequences({"k": kv}, _series_values(gf, order),
-                               _series_values(total, order), note="includes h-resummation"),
-        ))
-    return cells
+        checks = [(counts, [_series_values(gf, nmax)], ""),
+                  (_series_values(gf, order), [_series_values(total, order)], note)]
+        yield {"k": kv}, checks, note
 
 
-def _verify_pentagonal(nmax: int, order: int, h, k) -> list[CellResult]:
-    cells = []
+def _verify_pentagonal(nmax: int, order: int, h, k) -> Iterator[Cell]:
+    if nmax < 1:
+        raise ValueError("pentagonal-truncation is stated for n >= 1, so nmax must be >= 1")
+    note = "n=0 excluded: the recurrence is stated for n >= 1"
     for kv in _axis(k, DEFAULT_K_GRID):
         mexes = oracle.count_mex_class(kv, nmax).values
         sign = 1 if kv % 2 else -1
         truncated = {n: sign * series.truncated_pentagonal(kv, n) for n in range(1, nmax + 1)}
         expected = {n: mexes[n] for n in range(1, nmax + 1)}
-        cells.append(_compare_sequences({"k": kv}, expected, truncated,
-                                        note="n=0 excluded: the recurrence is stated for n >= 1"))
-    return cells
+        yield {"k": kv}, [(expected, [truncated], note)], note
 
 
 _VERIFIERS = {
@@ -328,7 +316,8 @@ def verify_theorem(theorem: str, *, nmax: int = DEFAULT_NMAX, order: int = DEFAU
     """Run one theorem's coefficient-vs-oracle grid and report per-cell status."""
     if theorem not in _VERIFIERS:
         raise ValueError(f"unknown theorem id {theorem!r}; choose from {', '.join(THEOREM_IDS)}")
-    check_bounds(nmax=nmax, order=order)
+    check_bounds("order", MAX_VERIFY_ORDER, nmax=nmax, order=order)
     if nmax > order:
         raise ValueError(f"nmax={nmax} exceeds the series order {order}")
-    return VerificationReport(theorem, nmax, order, _VERIFIERS[theorem](nmax, order, h, k))
+    cells = [_run(*cell) for cell in _VERIFIERS[theorem](nmax, order, h, k)]
+    return VerificationReport(theorem, nmax, order, cells)

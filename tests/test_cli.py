@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hooklab import InvariantError, Partition, mex_map
 from hooklab.cli import main
 from hooklab.partitions import MAX_ENUMERATION_WEIGHT
-from hooklab.verify import STATISTICS, THEOREM_IDS
+from hooklab.verify import MAX_SEQ_NMAX, MAX_VERIFY_ORDER, STATISTICS, THEOREM_IDS, check_bounds
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_BIJECTIONS = json.loads((DATA / "bijection_cli.json").read_text())
@@ -209,6 +209,7 @@ class TestUsageErrors:
         (["seq", "M", "--k", "2", "--nmax", "-3"], "nmax must be >= 0, got -3"),
         (["verify", "thm2.1", "--nmax", "-10", "--order", "-5"], "nmax must be >= 0, got -10"),
         (["verify", "thm4.1", "--h", "5", "--k", "2"], "h <= k-1"),
+        (["verify", "pentagonal-truncation", "--nmax", "0", "--order", "0"], "n >= 1"),
     ])
     def test_empty_range_rejected(self, capsys, argv, named):
         code, out, err = run(capsys, *argv)
@@ -223,6 +224,30 @@ class TestUsageErrors:
         assert time.monotonic() - start < 1.0
         assert code == 2
         assert f"enumeration bound {MAX_ENUMERATION_WEIGHT}\n" in err
+
+    @pytest.mark.parametrize("argv, bound", [
+        (["verify", "thm4.3", "--nmax", "5", "--order", "3000", "--k", "1"],
+         f"order=3000 exceeds the series-order bound {MAX_VERIFY_ORDER}"),
+        (["verify", "prop2.2", "--nmax", "5", "--order", "20000"],
+         f"order=20000 exceeds the series-order bound {MAX_VERIFY_ORDER}"),
+        (["seq", "fixed-hooks", "--h", "0", "--nmax", "50000"],
+         f"nmax=50000 exceeds the series-order bound {MAX_SEQ_NMAX}"),
+        (["verify", "thm2.1", "--nmax", "5", "--order", "100000000"],
+         f"order=100000000 exceeds the series-order bound {MAX_VERIFY_ORDER}"),
+    ])
+    def test_series_order_bound_checked_before_computing(self, capsys, argv, bound):
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert f"{bound}\n" in err
+
+    def test_series_order_bound_is_inclusive(self):
+        check_bounds("order", MAX_VERIFY_ORDER, nmax=0, order=MAX_VERIFY_ORDER)
+        check_bounds("nmax", MAX_SEQ_NMAX, nmax=MAX_SEQ_NMAX)
+        with pytest.raises(ValueError, match=f"series-order bound {MAX_SEQ_NMAX}$"):
+            check_bounds("nmax", MAX_SEQ_NMAX, nmax=MAX_SEQ_NMAX + 1)
 
     def test_thm35_checks_its_largest_weight_first(self, capsys):
         # its k = 5, h = -3 cells read the mex census 12 above nmax
