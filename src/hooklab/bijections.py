@@ -19,16 +19,6 @@ from typing import NamedTuple
 from .partitions import InvariantError, Partition
 
 
-def _slide_in(arr: list[int], r: int) -> int:
-    """Splice r into the nonincreasing arr (zeros allowed), returning the slide count."""
-    t = len(arr)
-    s = 0
-    while s < t and r - s > arr[t - 1 - s]:
-        s += 1
-    arr.insert(t - s, r - s)
-    return s
-
-
 def _strip_zeros(arr: list[int]) -> tuple[int, ...]:
     return tuple(v for v in arr if v)
 
@@ -40,25 +30,43 @@ def f_bijection(a: int, b: int, lam: Partition, mu: Partition) -> tuple[Partitio
     largest first, recording slide counts.  Total weight of the pair is
     preserved: |lam| + |mu| = |nu| + |rho|.  An inserted r passes at most
     r entries, so zeros beyond mu's largest part are never reached and are
-    not padded.
+    not padded.  Insertion keeps the sequence nonincreasing, so its zeros
+    are all at the end.
     """
     if a < 0 or b < 0:
         raise ValueError(f"capacities must be nonnegative, got a={a}, b={b}")
-    if lam.t > a:
-        raise ValueError(f"lam has {lam.t} parts but at most {a} are allowed")
-    if mu.t > b:
-        raise ValueError(f"mu has {mu.t} parts but at most {b} are allowed")
-    arr = list(lam.parts) + [0] * min(a - lam.t, mu.parts[0] if mu.parts else 0)
-    slides = [_slide_in(arr, r) for r in mu.parts]
-    nu = Partition._trusted(_strip_zeros(arr))
+    lam_parts, mu_parts = lam.parts, mu.parts
+    t = len(lam_parts)
+    if t > a:
+        raise ValueError(f"lam has {t} parts but at most {a} are allowed")
+    if len(mu_parts) > b:
+        raise ValueError(f"mu has {len(mu_parts)} parts but at most {b} are allowed")
+    arr = list(lam_parts)
+    if mu_parts:
+        arr += [0] * min(a - t, mu_parts[0])
+    t = len(arr)
+    slides = []
+    for r in mu_parts:
+        s = 0
+        while s < t and r - s > arr[t - 1 - s]:
+            s += 1
+        arr.insert(t - s, r - s)
+        t += 1
+        slides.append(s)
+    nu = Partition._trusted(tuple(arr[: t - arr.count(0)]))
     # Slide counts are claimed to form a partition (nonincreasing); check the
     # raw sequence so a counterexample would surface rather than be masked.
-    if any(slides[idx] < slides[idx + 1] for idx in range(len(slides) - 1)):
-        raise InvariantError(f"slide counts {slides} are not nonincreasing")
-    rho = Partition._trusted(tuple(s for s in slides if s))
-    if rho.t > b or (rho.parts and rho.parts[0] > a):
+    nonzero = 0
+    previous = slides[0] if slides else 0
+    for s in slides:
+        if s > previous:
+            raise InvariantError(f"slide counts {slides} are not nonincreasing")
+        if s:
+            nonzero += 1
+        previous = s
+    if nonzero > b or (nonzero and slides[0] > a):
         raise InvariantError(f"slide record {slides} escaped the {b} x {a} rectangle")
-    return nu, rho
+    return nu, Partition._trusted(tuple(slides[:nonzero]))
 
 
 def f_inverse(a: int, b: int, nu: Partition, rho: Partition) -> tuple[Partition, Partition]:
@@ -70,28 +78,38 @@ def f_inverse(a: int, b: int, nu: Partition, rho: Partition) -> tuple[Partition,
     come first and take the bottom entries in order, so they are the tail of
     mu, nu's entries from a + rho.t on.  Each nonzero count s is at most rho's
     largest entry, so nu is padded with no more zeros than those can reach.
+    What is left is a subsequence of nu's parts followed by zeros, so lam
+    needs no check; mu needs one nonincreasing scan.
     """
     if a < 0 or b < 0:
         raise ValueError(f"capacities must be nonnegative, got a={a}, b={b}")
-    if nu.t > a + b:
-        raise ValueError(f"nu has {nu.t} parts but at most {a + b} are allowed")
-    if rho.t > b:
-        raise ValueError(f"rho has {rho.t} slide counts but at most {b} are allowed")
-    if rho.parts and rho.parts[0] > a:
-        raise ValueError(f"slide count {rho.parts[0]} exceeds the {a} available parts")
-    kept = a + rho.t
-    arr = list(nu.parts[:kept]) + [0] * min(kept - nu.t, (rho.parts[0] if rho.parts else 0) + rho.t)
-    recovered: list[int] = []
-    for s in reversed(rho.parts):
+    nu_parts, rho_parts = nu.parts, rho.parts
+    t, t_rho = len(nu_parts), len(rho_parts)
+    if t > a + b:
+        raise ValueError(f"nu has {t} parts but at most {a + b} are allowed")
+    if t_rho > b:
+        raise ValueError(f"rho has {t_rho} slide counts but at most {b} are allowed")
+    if rho_parts and rho_parts[0] > a:
+        raise ValueError(f"slide count {rho_parts[0]} exceeds the {a} available parts")
+    kept = a + t_rho
+    arr = list(nu_parts[:kept])
+    if rho_parts:
+        arr += [0] * min(kept - t, rho_parts[0] + t_rho)
+    mu_parts = []
+    for s in reversed(rho_parts):
         if not 0 <= s < len(arr):
             raise ValueError(f"slide count {s} is inconsistent with {nu!r}")
-        recovered.append(arr.pop(len(arr) - 1 - s) + s)
-    mu_parts = recovered[::-1] + list(nu.parts[kept:])
-    for idx in range(len(mu_parts) - 1):
-        if mu_parts[idx] < mu_parts[idx + 1]:
+        mu_parts.append(arr.pop(len(arr) - 1 - s) + s)
+    mu_parts.reverse()
+    mu_parts += nu_parts[kept:]
+    previous = mu_parts[0] if mu_parts else 0
+    for value in mu_parts:
+        if value > previous:
             mu_parts += [0] * (b - len(mu_parts))
             raise ValueError(f"trace does not reverse to a partition: recovered {mu_parts}")
-    return Partition(_strip_zeros(arr)), Partition._trusted(tuple(mu_parts))
+        previous = value
+    lam = Partition._trusted(tuple(arr[: len(arr) - arr.count(0)]))
+    return lam, Partition._trusted(tuple(mu_parts))
 
 
 class BSteps(NamedTuple):

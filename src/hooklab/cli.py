@@ -33,7 +33,7 @@ def _require(args: argparse.Namespace, names: tuple[str, ...], context: str) -> 
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:
-    verify.check_bounds("nmax", verify.MAX_SEQ_NMAX, nmax=args.nmax)
+    verify.check_bounds("nmax", verify.MAX_SEQ_NMAX, nmax=args.nmax, start=args.start)
     stat = verify.STATISTICS[args.statistic]
     _require(args, stat.params, f"seq {args.statistic}")
     point = {name: getattr(args, name) for name in stat.params}

@@ -59,8 +59,7 @@ class CountTable:
         }
 
     def to_bfile(self, start: int = 1) -> str:
-        lines = [f"{n} {c}" for n, c in self.items() if n >= start]
-        return "\n".join(lines) + "\n"
+        return "".join(f"{n} {c}\n" for n, c in self.items() if n >= start)
 
 
 def _table(statistic: str, params: dict[str, int], n_max: int,

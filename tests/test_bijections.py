@@ -6,6 +6,7 @@ and tests/data/table1_n9.json for the frozen n=9 table.
 """
 
 import itertools
+import re
 
 import pytest
 
@@ -180,6 +181,114 @@ def _f_inverse_full_padding(a, b, nu, rho):
         if mu_parts[idx] < mu_parts[idx + 1]:
             raise ValueError(f"trace does not reverse to a partition: recovered {mu_parts}")
     return Partition(tuple(v for v in arr if v)), Partition(tuple(v for v in mu_parts if v))
+
+
+class TestTupleDifferential:
+    def test_same_outcome_as_the_partition_level_maps(self):
+        # F and F^-1 read raw part tuples and build both results with
+        # Partition._trusted; they must agree, errors included, with the
+        # versions that read Partition properties, and return partitions.
+        # The right argument also comes as an increasing tuple, which no
+        # caller passes, so that the invariant checks are reached.
+        small = [Partition(p) for w in range(11) for p in partitions_of(w)]
+        rights = small + [Partition._trusted(p.parts[::-1]) for p in small
+                          if p.parts != p.parts[::-1]]
+        pairs = [(x, y) for x, y in itertools.product(small, rights) if x.n + y.n <= 10]
+        errors = set()
+        for a, b in itertools.product(range(-1, 8), repeat=2):
+            for x, y in pairs:
+                for new, old in ((f_bijection, _old_f_bijection), (f_inverse, _old_f_inverse)):
+                    outcome = _parts_outcome(new, a, b, x, y)
+                    assert outcome == _parts_outcome(old, a, b, x, y), (new.__name__, a, b, x, y)
+                    if isinstance(outcome[0], type):
+                        errors.add(re.sub(r"-?\d+", "#", re.split(r"[:[(]", outcome[1])[0]).strip())
+        # every check but F's rectangle check is reached; on these inputs the
+        # slide-order check fires first
+        assert errors == {
+            "capacities must be nonnegative, got a=#, b=#",
+            "lam has # parts but at most # are allowed",
+            "mu has # parts but at most # are allowed",
+            "nu has # parts but at most # are allowed",
+            "rho has # slide counts but at most # are allowed",
+            "slide count # exceeds the # available parts",
+            "slide count # is inconsistent with Partition",
+            "trace does not reverse to a partition",
+            "slide counts",
+        }
+
+
+def _parts_outcome(fn, *args):
+    """The part tuples fn returns, each checked to be a partition, or its error."""
+    try:
+        result = fn(*args)
+    except (ValueError, InvariantError) as exc:
+        return type(exc), str(exc)
+    for partition in result:
+        parts = partition.parts
+        assert type(parts) is tuple, (fn.__name__, args, parts)
+        assert all(type(v) is int and v > 0 for v in parts), (fn.__name__, args, parts)
+        assert all(x >= y for x, y in zip(parts, parts[1:])), (fn.__name__, args, parts)
+    return tuple(partition.parts for partition in result)
+
+
+# -- F and F^-1 as they were before they read raw tuples ---------------------
+
+def _old_slide_in(arr: list[int], r: int) -> int:
+    """Splice r into the nonincreasing arr (zeros allowed), returning the slide count."""
+    t = len(arr)
+    s = 0
+    while s < t and r - s > arr[t - 1 - s]:
+        s += 1
+    arr.insert(t - s, r - s)
+    return s
+
+
+def _old_strip_zeros(arr: list[int]) -> tuple[int, ...]:
+    return tuple(v for v in arr if v)
+
+
+def _old_f_bijection(a, b, lam, mu):
+    if a < 0 or b < 0:
+        raise ValueError(f"capacities must be nonnegative, got a={a}, b={b}")
+    if lam.t > a:
+        raise ValueError(f"lam has {lam.t} parts but at most {a} are allowed")
+    if mu.t > b:
+        raise ValueError(f"mu has {mu.t} parts but at most {b} are allowed")
+    arr = list(lam.parts) + [0] * min(a - lam.t, mu.parts[0] if mu.parts else 0)
+    slides = [_old_slide_in(arr, r) for r in mu.parts]
+    nu = Partition._trusted(_old_strip_zeros(arr))
+    # Slide counts are claimed to form a partition (nonincreasing); check the
+    # raw sequence so a counterexample would surface rather than be masked.
+    if any(slides[idx] < slides[idx + 1] for idx in range(len(slides) - 1)):
+        raise InvariantError(f"slide counts {slides} are not nonincreasing")
+    rho = Partition._trusted(tuple(s for s in slides if s))
+    if rho.t > b or (rho.parts and rho.parts[0] > a):
+        raise InvariantError(f"slide record {slides} escaped the {b} x {a} rectangle")
+    return nu, rho
+
+
+def _old_f_inverse(a, b, nu, rho):
+    if a < 0 or b < 0:
+        raise ValueError(f"capacities must be nonnegative, got a={a}, b={b}")
+    if nu.t > a + b:
+        raise ValueError(f"nu has {nu.t} parts but at most {a + b} are allowed")
+    if rho.t > b:
+        raise ValueError(f"rho has {rho.t} slide counts but at most {b} are allowed")
+    if rho.parts and rho.parts[0] > a:
+        raise ValueError(f"slide count {rho.parts[0]} exceeds the {a} available parts")
+    kept = a + rho.t
+    arr = list(nu.parts[:kept]) + [0] * min(kept - nu.t, (rho.parts[0] if rho.parts else 0) + rho.t)
+    recovered: list[int] = []
+    for s in reversed(rho.parts):
+        if not 0 <= s < len(arr):
+            raise ValueError(f"slide count {s} is inconsistent with {nu!r}")
+        recovered.append(arr.pop(len(arr) - 1 - s) + s)
+    mu_parts = recovered[::-1] + list(nu.parts[kept:])
+    for idx in range(len(mu_parts) - 1):
+        if mu_parts[idx] < mu_parts[idx + 1]:
+            mu_parts += [0] * (b - len(mu_parts))
+            raise ValueError(f"trace does not reverse to a partition: recovered {mu_parts}")
+    return Partition(_old_strip_zeros(arr)), Partition._trusted(tuple(mu_parts))
 
 
 class TestBBijection:

@@ -210,6 +210,8 @@ class TestUsageErrors:
         (["verify", "thm2.1", "--nmax", "-10", "--order", "-5"], "nmax must be >= 0, got -10"),
         (["verify", "thm4.1", "--h", "5", "--k", "2"], "h <= k-1"),
         (["verify", "pentagonal-truncation", "--nmax", "0", "--order", "0"], "n >= 1"),
+        (["seq", "fixed-hooks", "--h", "0", "--nmax", "5", "--format", "bfile", "--start", "-3"],
+         "start must be >= 0, got -3"),
     ])
     def test_empty_range_rejected(self, capsys, argv, named):
         code, out, err = run(capsys, *argv)

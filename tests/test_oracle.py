@@ -146,6 +146,11 @@ class TestSerialization:
         table = count_fixed_hooks(0, 5)
         assert table.to_bfile(start=1).splitlines()[0] == "1 1"
         assert table.to_bfile(start=0).splitlines()[0] == "0 0"
+        assert table.to_bfile(start=4) == "4 2\n5 3\n"
+
+    def test_bfile_without_rows_is_empty(self):
+        assert count_fixed_hooks(0, 5).to_bfile(start=6) == ""
+        assert count_fixed_hooks(0, 0).to_bfile() == ""
 
 
 class TestGeneratorGate:
