@@ -5,12 +5,14 @@ and counting them one by one; no count comes from a formula.  Each
 statistic that a verification grid refines is read from a memoized
 census, so the cells of a grid share its sweeps:
 
-* fixed hooks, box fits and first-column hooks test their predicate on
-  every partition of n, one census per weight;
-* the mex and ones classes are built from their definition, one census
-  per (class, weight): a fixed prefix of small parts plus every partition
-  of the rest into parts above a floor, so only the partitions of the
-  class are generated, each once.
+* first-column hooks are tested on every partition of n, one census per
+  weight;
+* the fixed-hook, mex and ones classes are built from their definition,
+  one census per (class, weight), so only the partitions of the class are
+  generated, each once: the rows below a fixed hook plus every choice of
+  the rows above it, or a fixed prefix of small parts plus every partition
+  of the rest into parts above a floor;
+* box counts walk the partitions in their box, one weight at a time.
 
 Nothing in this module imports :mod:`hooklab.series`; agreement between
 the two sides is what the verification layer checks.
@@ -23,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .partitions import check_weight, find_fixed_hook, iter_partition_tuples
+from .partitions import check_weight, iter_partition_tuples
 
 
 def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
@@ -69,10 +71,54 @@ def _table(statistic: str, params: dict[str, int], n_max: int,
     return CountTable(statistic, params, {n: count_one(n) for n in range(n_max + 1)})
 
 
+def _in_box(n: int, rows: int, cols: int) -> int:
+    """How many partitions of n have at most rows parts, none above cols, walked one at a time."""
+    if rows < 2 or cols < 0:
+        return int(rows >= 0 and cols >= 0 and (n == 0 or rows == 1 and n <= cols))
+    count = 0
+    stack = [(n, rows, cols)]  # (weight, most parts, largest part) of each rest still to walk
+    while stack:
+        rest, rows, x = stack.pop()
+        if x > rest:
+            x = rest
+        if rows == 2 or rest == 0:  # (x, rest - x) for x down to rest / 2; just () if rest is 0
+            while 2 * x >= rest:
+                count += 1
+                x -= 1
+        else:  # every first part x that leaves a rest the other rows can hold
+            low = (rest - 1) // rows
+            rows -= 1
+            while x > low:
+                stack.append((rest - x, rows, x))
+                x -= 1
+    return count
+
+
 @functools.lru_cache(maxsize=None)
 def _fixed_hook_census(h: int, n: int) -> Counter:
-    """How many partitions of n have each h-fixed hook (position, hook, part), or None."""
-    return Counter(find_fixed_hook(parts, h) for parts in partitions_of(n))
+    """How many partitions of n have each h-fixed hook (position, hook, part).
+
+    A partition whose h-fixed hook sits at position s on a part p has
+    t = 2s + h - p parts: s - 1 rows >= p above row s, and m = s + h - p rows
+    in 1..p below it.  So every one of them is generated once, one (s, p)
+    block at a time: each set of lower rows by the multiplicities of 1..p-1
+    left after taking one box from every row, and for each such set every
+    choice of the rows above, less p each, by _in_box.
+    """
+    census: Counter = Counter()
+    for p in range(1, n + 1):
+        # the block's lightest partition has s rows of p and m rows of 1
+        for s in range(max(1, p - h), (n - h + p) // (p + 1) + 1):
+            m = s + h - p
+            room = n - s * p - m  # weight of the rows above beyond p, plus the lower rows beyond 1
+            lower = [(0, 0)]  # (weight, #rows) of the multiplicities of 1..part-1
+            for part in range(1, p):
+                lower = [(weight + part * c, rows + c) for weight, rows in lower
+                         for c in range(min(m - rows, (room - weight) // part) + 1)]
+            count = sum(_in_box(room - weight, s - 1, room - weight) for weight, _ in lower)
+            if count:
+                census[s, s + h, p] = count
+    return census
 
 
 def _lengths_from(n: int, floor: int) -> dict[int, int]:
@@ -130,12 +176,6 @@ def _mex_census(k: int, n: int) -> Counter:
 
 
 @functools.lru_cache(maxsize=None)
-def _box_census(n: int) -> Counter:
-    """How many partitions of n have each (#parts, largest part)."""
-    return Counter((len(parts), parts[0] if parts else 0) for parts in partitions_of(n))
-
-
-@functools.lru_cache(maxsize=None)
 def _ones_census(ones: int, n: int) -> dict[int, int]:
     """How many partitions of n with exactly `ones` parts equal to 1 have each #parts."""
     if n < ones:
@@ -157,8 +197,7 @@ def _fixed_hook_table(statistic: str, params: dict[str, int], h: int, n_max: int
                       keep: Callable[[int, int, int], bool]) -> CountTable:
     """Partitions of n whose h-fixed hook (position, hook, part) passes keep."""
     return _table(statistic, params, n_max,
-                  lambda n: sum(c for hit, c in _fixed_hook_census(h, n).items()
-                                if hit is not None and keep(*hit)))
+                  lambda n: sum(c for hit, c in _fixed_hook_census(h, n).items() if keep(*hit)))
 
 
 def _mex_table(statistic: str, params: dict[str, int], h: int, k: int,
@@ -253,8 +292,7 @@ def count_ones_shifted(h: int, n_max: int) -> CountTable:
 def count_box_partitions(rows: int, cols: int, n_max: int) -> CountTable:
     """Partitions of n that fit in a rows x cols box: at most rows parts, none above cols."""
     return _table("box-partitions", {"rows": rows, "cols": cols}, n_max,
-                  lambda n: sum(c for (t, top), c in _box_census(n).items()
-                                if t <= rows and top <= cols))
+                  lambda n: _in_box(n, rows, cols))
 
 
 def partition_counts(n_max: int) -> CountTable:

@@ -1,5 +1,7 @@
 import ast
+import bisect
 import itertools
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -21,6 +23,8 @@ from hooklab import (
     partition_numbers,
 )
 from hooklab.oracle import (
+    _fixed_hook_census,
+    _in_box,
     _lengths_from,
     _mex_census,
     _ones_census,
@@ -28,7 +32,12 @@ from hooklab.oracle import (
     partition_counts,
     partitions_of,
 )
-from hooklab.partitions import MAX_ENUMERATION_WEIGHT, iter_partition_tuples, mex_of
+from hooklab.partitions import (
+    MAX_ENUMERATION_WEIGHT,
+    find_fixed_hook,
+    iter_partition_tuples,
+    mex_of,
+)
 
 
 class TestFixedHookCounts:
@@ -168,6 +177,9 @@ class TestGeneratorGate:
         lambda: count_ones_exact(0, MAX_ENUMERATION_WEIGHT + 1),
         # visits partitions of n - h, so the bound is crossed at n_max = bound - 9
         lambda: count_ones_shifted(-10, MAX_ENUMERATION_WEIGHT - 9),
+        lambda: count_h_fixed_by_part(0, 1, MAX_ENUMERATION_WEIGHT + 1),
+        lambda: count_h_fixed_by_hook(0, 1, MAX_ENUMERATION_WEIGHT + 1),
+        lambda: count_box_partitions(3, 3, MAX_ENUMERATION_WEIGHT + 1),
     ])
     def test_enumeration_bound(self, call):
         with pytest.raises(ValueError, match=f"enumeration bound {MAX_ENUMERATION_WEIGHT}$"):
@@ -302,6 +314,36 @@ class TestPrefixSplitDifferential:
                 assert _ones_census(j, n) == {t: c for (ones, t), c in whole.items()
                                               if ones == j}, (j, n)
             assert not _ones_census(n + 1, n), n
+
+    def test_fixed_hook_census(self, partitions):
+        for n, ps in partitions.items():
+            for h in range(-8, 9):
+                whole = Counter(find_fixed_hook(parts, h) for parts in ps)
+                del whole[None]
+                assert _fixed_hook_census(h, n) == whole, (h, n)
+
+    def test_fixed_hook_census_far_h(self):
+        start = time.perf_counter()
+        for h in (-10**9, 10**9):
+            assert set(count_fixed_hooks(h, 30).values.values()) == {0}, h
+        assert time.perf_counter() - start < 1
+
+    def test_in_box_matches_filter(self, partitions):
+        # every box of every n <= 24 walks 1.7 M partitions; n <= 30 would walk 10.7 M
+        for n in range(25):
+            for rows in range(n + 2):
+                tops = sorted(parts[0] if parts else 0
+                              for parts in partitions[n] if len(parts) <= rows)
+                for cols in range(n + 2):
+                    assert _in_box(n, rows, cols) == bisect.bisect_right(tops, cols), (
+                        n, rows, cols)
+
+    def test_in_box_edges(self):
+        assert [_in_box(0, rows, cols) for rows, cols in ((0, 0), (0, 5), (5, 0))] == [1, 1, 1]
+        assert [_in_box(n, 0, n) for n in (1, 2, 7)] == [0, 0, 0]
+        assert [_in_box(n, n, 0) for n in (1, 2, 7)] == [0, 0, 0]
+        assert _in_box(4, 10**9, 10**9) == 5  # no walk over the unused rows
+        assert _in_box(0, -1, 0) == _in_box(0, 0, -1) == _in_box(3, -1, 3) == 0
 
 
 def _package_imports(path: Path) -> set[str]:
