@@ -284,8 +284,7 @@ def count_ones_exact(h: int, n_max: int) -> CountTable:
 def count_ones_shifted(h: int, n_max: int) -> CountTable:
     """Partitions of n-h with at least 1-h parts and exactly one part 1, tabulated at n."""
     return _table("ones-shifted", {"h": h}, n_max,
-                  lambda n: sum(c for t, c in _ones_census(1, n - h).items() if t >= 1 - h)
-                  if n >= h else 0,
+                  lambda n: sum(c for t, c in _ones_census(1, n - h).items() if t >= 1 - h),
                   top=n_max - h)
 
 

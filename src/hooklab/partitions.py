@@ -70,12 +70,6 @@ class Partition:
         """Number of parts."""
         return len(self.parts)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
     def __repr__(self) -> str:
         return f"Partition({list(self.parts)})"
 
@@ -103,10 +97,7 @@ class Partition:
 
     def find_h_fixed_hook(self, h: int) -> FixedHookReport | None:
         """The unique position s with hook length s + h in column 1, if any."""
-        hit = find_fixed_hook(self.parts, h)
-        if hit is None:
-            return None
-        return FixedHookReport(*hit)
+        return find_fixed_hook(self.parts, h)
 
     def find_h_fixed_point(self, h: int) -> int | None:
         """The position i with parts[i] == i + h, if any (parts[i] - i is strictly decreasing)."""
@@ -137,13 +128,13 @@ class Partition:
         return list(self.parts)
 
 
-def find_fixed_hook(parts: tuple[int, ...], h: int) -> tuple[int, int, int] | None:
+def find_fixed_hook(parts: tuple[int, ...], h: int) -> FixedHookReport | None:
     """(position, hook, part) of the h-fixed first-column hook of raw parts, if any."""
     t = len(parts)
     for s in range(1, t + 1):
         diff = parts[s - 1] + t - 2 * s  # hook minus position; strictly decreasing in s
         if diff == h:
-            return s, parts[s - 1] + t - s, parts[s - 1]
+            return FixedHookReport(s, parts[s - 1] + t - s, parts[s - 1])
         if diff < h:
             return None
     return None

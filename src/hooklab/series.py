@@ -24,20 +24,6 @@ class TruncationError(ValueError):
     """Raised when a coefficient beyond the tracked order is requested."""
 
 
-def _strip(offset: int, coeffs: list[int]) -> tuple[int, tuple[int, ...]]:
-    # canonical form: no leading or trailing zero coefficients are stored
-    # (coeff() reports 0 for any untracked exponent at or below the order)
-    i = 0
-    while i < len(coeffs) and coeffs[i] == 0:
-        i += 1
-    j = len(coeffs)
-    while j > i and coeffs[j - 1] == 0:
-        j -= 1
-    if i == j:
-        return 0, ()
-    return offset + i, tuple(coeffs[i:j])
-
-
 @dataclass(frozen=True)
 class Series:
     """Truncated Laurent series with exact integer coefficients."""
@@ -48,11 +34,22 @@ class Series:
 
     @classmethod
     def make(cls, coeffs, order: int, offset: int = 0) -> "Series":
-        dense = list(coeffs)
-        if offset + len(dense) - 1 > order:
-            dense = dense[: order - offset + 1]
-        offset, tail = _strip(offset, dense)
-        return cls(offset=offset, order=order, coeffs=tail)
+        """The canonical series of coeffs from q^offset on: every series is built here.
+
+        Nothing above the order is stored, nor any leading or trailing zero
+        coefficient (coeff() reports 0 for any untracked exponent at or below
+        the order); a zero series sits at offset 0.
+        """
+        dense = list(coeffs)[: max(order - offset + 1, 0)]
+        i = 0
+        while i < len(dense) and dense[i] == 0:
+            i += 1
+        j = len(dense)
+        while j > i and dense[j - 1] == 0:
+            j -= 1
+        if i == j:
+            return cls.zero(order)
+        return cls(offset=offset + i, order=order, coeffs=tuple(dense[i:j]))
 
     @classmethod
     def zero(cls, order: int) -> "Series":
@@ -64,8 +61,6 @@ class Series:
 
     @classmethod
     def monomial(cls, exponent: int, order: int, coefficient: int = 1) -> "Series":
-        if exponent > order:
-            return cls.zero(order)
         return cls.make([coefficient], order, offset=exponent)
 
     def is_zero(self) -> bool:
@@ -86,21 +81,12 @@ class Series:
         """Coefficients of q^lo .. q^hi inclusive."""
         return tuple(self.coeff(e) for e in range(lo, hi + 1))
 
-    def truncate(self, order: int) -> "Series":
-        if order > self.order:
-            raise TruncationError(f"cannot extend order {self.order} to {order}")
-        return Series.make(list(self.coeffs), order, offset=self.offset)
-
     def shift(self, m: int) -> "Series":
         """Multiply by q^m; offset and order move together, so nothing is lost."""
-        return Series(offset=self.offset + m, order=self.order + m, coeffs=self.coeffs)
+        return Series.make(self.coeffs, self.order + m, offset=self.offset + m)
 
     def __add__(self, other: "Series") -> "Series":
         order = min(self.order, other.order)
-        if self.is_zero():
-            return other.truncate(order)
-        if other.is_zero():
-            return self.truncate(order)
         offset = min(self.offset, other.offset)
         dense = [0] * (order - offset + 1)
         for src in (self, other):
@@ -111,16 +97,14 @@ class Series:
         return Series.make(dense, order, offset=offset)
 
     def __neg__(self) -> "Series":
-        return Series(self.offset, self.order, tuple(-c for c in self.coeffs))
+        return Series.make([-c for c in self.coeffs], self.order, offset=self.offset)
 
     def __sub__(self, other: "Series") -> "Series":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return Series.zero(self.order)
-            return Series(self.offset, self.order, tuple(other * c for c in self.coeffs))
+            return Series.make([other * c for c in self.coeffs], self.order, offset=self.offset)
         order = min(self.order + other.offset, other.order + self.offset)
         offset = self.offset + other.offset
         dense = [0] * (order - offset + 1)
@@ -271,13 +255,8 @@ def gf_ones_exact(h: int, order: int) -> Series:
     """
     if h < -1:
         raise ValueError(f"the exact-ones form needs h >= -1, got {h}")
-    inner_order = order - (h + 1)
-    if inner_order < 0:
-        return Series.zero(order)
-    dense = _ratio(inner_order + 1, downs=range(2, inner_order + 1))
-    if h == -1:
-        dense[0] -= 1
-    return Series.make(dense, order, offset=h + 1)
+    # for h >= -1 this is Theorem 3.4: its correction sum is empty, or the 1 removed at h = -1
+    return gf_ones_shifted(h, order)
 
 
 def gf_ones_shifted(h: int, order: int) -> Series:
@@ -292,8 +271,7 @@ def gf_ones_shifted(h: int, order: int) -> Series:
     if h < 0:
         steps = ((2, (), (m + 1,)) for m in range(-h - 1))
         _carried_sum(dense, 0, [-1] + [0] * inner_order, steps)
-    # shifted after stripping, a zero result keeps the offset h + 1 it always had
-    return Series.make(dense, inner_order).shift(h + 1)
+    return Series.make(dense, order, offset=h + 1)
 
 
 def gf_M_k(k: int, order: int) -> Series:

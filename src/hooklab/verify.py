@@ -190,14 +190,14 @@ def _verify_thm21(nmax: int, order: int, h, k) -> Iterator[Cell]:
 def _verify_prop22(nmax: int, order: int, h, k) -> Iterator[Cell]:
     note = "series identity plus box-partition counts"
     for a, b in itertools.product(range(9), repeat=2):
+        binomial = series.q_binomial(a + b, a, order)
         lhs = series.inv_finite_pochhammer(a, order) * series.inv_finite_pochhammer(b, order)
-        rhs = series.inv_finite_pochhammer(a + b, order) * series.q_binomial(a + b, a, order)
+        rhs = series.inv_finite_pochhammer(a + b, order) * binomial
         # oracle side: the q-binomial factor counts partitions in an a x b box
-        gf = series.q_binomial(a + b, a, order)
         top = min(nmax, a * b)
         counted = oracle.count_box_partitions(a, b, top).values
         checks = [(_series_values(lhs, order), [_series_values(rhs, order)], ""),
-                  (counted, [_series_values(gf, top)], note)]
+                  (counted, [_series_values(binomial, top)], note)]
         yield {"a": a, "b": b}, checks, note
 
 
@@ -222,7 +222,10 @@ def _verify_thm33(nmax: int, order: int, h, k) -> Iterator[Cell]:
 
 
 def _verify_thm34(nmax: int, order: int, h, k) -> Iterator[Cell]:
-    for hv in _axis(h, DEFAULT_H_GRID):
+    hs = _axis(h, DEFAULT_H_GRID)
+    # the ones side reads weights up to nmax - h: refuse the grid before any cell runs
+    check_weight(nmax - min(min(hs), 0))
+    for hv in hs:
         hooks = oracle.count_h_fixed_by_part(hv, 1, nmax).values
         shifted = oracle.count_ones_shifted(hv, nmax).values
         coeffs = _series_values(series.gf_ones_shifted(hv, order), nmax)

@@ -212,6 +212,7 @@ class TestUsageErrors:
         (["verify", "pentagonal-truncation", "--nmax", "0", "--order", "0"], "n >= 1"),
         (["seq", "fixed-hooks", "--h", "0", "--nmax", "5", "--format", "bfile", "--start", "-3"],
          "start must be >= 0, got -3"),
+        (["verify", "thm3.3", "--h", "-2"], "h >= -1"),
     ])
     def test_empty_range_rejected(self, capsys, argv, named):
         code, out, err = run(capsys, *argv)
@@ -251,14 +252,22 @@ class TestUsageErrors:
         with pytest.raises(ValueError, match=f"series-order bound {MAX_SEQ_NMAX}$"):
             check_bounds("nmax", MAX_SEQ_NMAX, nmax=MAX_SEQ_NMAX + 1)
 
-    def test_thm35_checks_its_largest_weight_first(self, capsys):
-        # its k = 5, h = -3 cells read the mex census 12 above nmax
+    @pytest.mark.parametrize("theorem, h, nmax, top", [
+        # thm3.5's k = 5, h = -3 cells read the mex census 12 above nmax
+        ("thm3.5", None, MAX_ENUMERATION_WEIGHT - 11, MAX_ENUMERATION_WEIGHT + 1),
+        # thm3.4's ones side reads the ones census at n - h
+        ("thm3.4", -3, MAX_ENUMERATION_WEIGHT - 2, MAX_ENUMERATION_WEIGHT + 1),
+        ("thm3.4", None, MAX_ENUMERATION_WEIGHT, MAX_ENUMERATION_WEIGHT + 3),
+    ])
+    def test_thm35_checks_its_largest_weight_first(self, capsys, theorem, h, nmax, top):
+        argv = ["verify", theorem, "--nmax", str(nmax), "--order", str(nmax)]
+        if h is not None:
+            argv += ["--h", str(h)]
         start = time.monotonic()
-        nmax = str(MAX_ENUMERATION_WEIGHT - 11)
-        code, _, err = run(capsys, "verify", "thm3.5", "--nmax", nmax, "--order", nmax)
+        code, _, err = run(capsys, *argv)
         assert time.monotonic() - start < 1.0
         assert code == 2
-        assert f"n = {MAX_ENUMERATION_WEIGHT + 1} exceeds the enumeration bound" in err
+        assert f"n = {top} exceeds the enumeration bound" in err
 
     def test_invariant_violation(self, capsys, monkeypatch):
         monkeypatch.setattr(Partition, "mex", lambda self: 0)

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hooklab import (
     Series,
@@ -34,6 +34,9 @@ series_st = st.builds(
     st.lists(st.integers(-9, 9), min_size=0, max_size=8),
     st.integers(-4, 4),
 )
+# (coeffs, order, offset) as handed to Series.make: orders fall below the offset too
+raw_st = st.tuples(st.lists(st.integers(-3, 3), max_size=8), st.integers(-6, 12), st.integers(-4, 4))
+any_series_st = raw_st.map(lambda raw: Series.make(raw[0], raw[1], offset=raw[2]))
 
 
 class TestArithmetic:
@@ -86,6 +89,18 @@ class TestArithmetic:
     @given(series_st, st.integers(-5, 5))
     def test_shift_roundtrip(self, a, m):
         assert a.shift(m).shift(-m) == a
+
+    @given(raw_st, any_series_st, any_series_st, st.integers(-5, 5), st.integers(-3, 3))
+    # nothing above the order is kept: make([1, 2, 3], 5, offset=8) is zero
+    @example(([1, 2, 3], 5, 8), Series.zero(5), Series.zero(5), 0, 1)
+    # a zero series sits at offset 0: zero(5).shift(3) == zero(8)
+    @example(([], 5, 0), Series.zero(5), Series.zero(5), 3, 1)
+    def test_every_operation_returns_the_canonical_form(self, raw, a, b, m, c):
+        coeffs, order, offset = raw
+        results = {"make": Series.make(coeffs, order, offset=offset), "shift": a.shift(m),
+                   "neg": -a, "add": a + b, "sub": a - b, "mul": a * b, "int mul": c * a}
+        for name, r in results.items():
+            assert r == Series.make(r.coeffs, r.order, offset=r.offset), name
 
 
 class TestPochhammer:
@@ -246,12 +261,12 @@ class TestOnesSeries:
             gf_ones_exact(-2, 10)
 
     def test_exact_matches_part_one(self):
-        for h in range(-1, 4):
-            assert gf_ones_exact(h, 30) == gf_h_fixed_part_k(h, 1, 30)
+        for h, order in itertools.product(range(-1, 7), range(41)):
+            assert gf_ones_exact(h, order) == gf_h_fixed_part_k(h, 1, order), (h, order)
 
     def test_shifted_matches_part_one_all_h(self):
-        for h in range(-4, 4):
-            assert gf_ones_shifted(h, 30) == gf_h_fixed_part_k(h, 1, 30)
+        for h, order in itertools.product(range(-7, 7), range(41)):
+            assert gf_ones_shifted(h, order) == gf_h_fixed_part_k(h, 1, order), (h, order)
 
     def test_shifted_equals_exact_at_minus_one(self):
         a = gf_ones_shifted(-1, 30)

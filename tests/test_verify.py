@@ -100,18 +100,23 @@ class TestReports:
         assert not report.ok
         cell = report.cells[0]
         assert cell.status == "mismatch"
-        n, expected, actual = cell.first_divergence
-        assert n in (1, 4)
-        assert "first divergence" in report.to_text()
+        # the first partition with a 0-fixed hook is (1), which the broken oracle misses
+        assert cell.first_divergence == (1, 0, 1)
+        assert cell.to_json_dict()["first_divergence"] == {"n": 1, "expected": 0, "actual": 1}
+        assert "first divergence at n=1: expected 0, got 1" in report.to_text()
 
     def test_mismatch_exit_code(self, monkeypatch, capsys):
         def broken(h, n_max):
             return CountTable("fixed-hooks", {"h": h}, {n: 0 for n in range(n_max + 1)})
 
         monkeypatch.setattr(verify_mod.oracle, "count_fixed_hooks", broken)
-        code = main(["verify", "thm4.2", "--h", "0", "--nmax", "8", "--order", "16"])
-        assert code == 1
+        argv = ["verify", "thm4.2", "--h", "0", "--nmax", "8", "--order", "16"]
+        assert main(argv) == 1
         assert "MISMATCH" in capsys.readouterr().out
+        assert main([*argv, "--json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert not data["ok"]
+        assert data["cells"][0]["first_divergence"] == {"n": 1, "expected": 0, "actual": 1}
 
 
     def test_every_side_has_a_pinned_mismatch(self):
