@@ -19,10 +19,6 @@ from typing import NamedTuple
 from .partitions import InvariantError, Partition
 
 
-def _strip_zeros(arr: list[int]) -> tuple[int, ...]:
-    return tuple(v for v in arr if v)
-
-
 def f_bijection(a: int, b: int, lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
     """Rectangle bijection on pairs: (P_a, P_b) -> (P_{a+b}, R_{b,a}).
 
@@ -31,7 +27,8 @@ def f_bijection(a: int, b: int, lam: Partition, mu: Partition) -> tuple[Partitio
     preserved: |lam| + |mu| = |nu| + |rho|.  An inserted r passes at most
     r entries, so zeros beyond mu's largest part are never reached and are
     not padded.  Insertion keeps the sequence nonincreasing, so its zeros
-    are all at the end.
+    are all at the end and are kept as a count: an r passes min(r, zeros)
+    of them in one step and, if that is all of r, becomes one more zero.
     """
     if a < 0 or b < 0:
         raise ValueError(f"capacities must be nonnegative, got a={a}, b={b}")
@@ -41,19 +38,21 @@ def f_bijection(a: int, b: int, lam: Partition, mu: Partition) -> tuple[Partitio
         raise ValueError(f"lam has {t} parts but at most {a} are allowed")
     if len(mu_parts) > b:
         raise ValueError(f"mu has {len(mu_parts)} parts but at most {b} are allowed")
-    arr = list(lam_parts)
-    if mu_parts:
-        arr += [0] * min(a - t, mu_parts[0])
-    t = len(arr)
+    arr = list(lam_parts)  # the nonzero entries; the zeros below them are counted
+    zeros = min(a - t, mu_parts[0]) if mu_parts else 0
     slides = []
     for r in mu_parts:
-        s = 0
-        while s < t and r - s > arr[t - 1 - s]:
-            s += 1
-        arr.insert(t - s, r - s)
-        t += 1
+        s = min(r, zeros)
+        if r > zeros:
+            j = len(arr)
+            while j and r - s > arr[j - 1]:
+                s += 1
+                j -= 1
+            arr.insert(j, r - s)
+        else:
+            zeros += 1
         slides.append(s)
-    nu = Partition._trusted(tuple(arr[: t - arr.count(0)]))
+    nu = Partition._trusted(tuple(arr))
     # Slide counts are claimed to form a partition (nonincreasing); check the
     # raw sequence so a counterexample would surface rather than be masked.
     nonzero = 0
@@ -77,9 +76,10 @@ def f_inverse(a: int, b: int, nu: Partition, rho: Partition) -> tuple[Partition,
     entry from the bottom, which regains s boxes.  The b - rho.t zero counts
     come first and take the bottom entries in order, so they are the tail of
     mu, nu's entries from a + rho.t on.  Each nonzero count s is at most rho's
-    largest entry, so nu is padded with no more zeros than those can reach.
-    What is left is a subsequence of nu's parts followed by zeros, so lam
-    needs no check; mu needs one nonincreasing scan.
+    largest entry, so nu is padded with no more zeros than those can reach,
+    and they are kept as a count: a count s below it takes a zero and gives
+    back s.  What is left is a subsequence of nu's parts, so lam needs no
+    check; mu needs one nonincreasing scan.
     """
     if a < 0 or b < 0:
         raise ValueError(f"capacities must be nonnegative, got a={a}, b={b}")
@@ -92,24 +92,26 @@ def f_inverse(a: int, b: int, nu: Partition, rho: Partition) -> tuple[Partition,
     if rho_parts and rho_parts[0] > a:
         raise ValueError(f"slide count {rho_parts[0]} exceeds the {a} available parts")
     kept = a + t_rho
-    arr = list(nu_parts[:kept])
-    if rho_parts:
-        arr += [0] * min(kept - t, rho_parts[0] + t_rho)
+    arr = list(nu_parts[:kept])  # the nonzero entries; the zeros below them are counted
+    zeros = min(kept - len(arr), rho_parts[0] + t_rho) if rho_parts else 0
     mu_parts = []
     for s in reversed(rho_parts):
-        if not 0 <= s < len(arr):
+        if not 0 <= s < len(arr) + zeros:
             raise ValueError(f"slide count {s} is inconsistent with {nu!r}")
-        mu_parts.append(arr.pop(len(arr) - 1 - s) + s)
+        if s < zeros:
+            zeros -= 1
+            mu_parts.append(s)
+        else:
+            mu_parts.append(arr.pop(len(arr) + zeros - 1 - s) + s)
     mu_parts.reverse()
     mu_parts += nu_parts[kept:]
     previous = mu_parts[0] if mu_parts else 0
     for value in mu_parts:
-        if value > previous:
-            mu_parts += [0] * (b - len(mu_parts))
-            raise ValueError(f"trace does not reverse to a partition: recovered {mu_parts}")
+        if value > previous:  # shown with its zero parts, as b entries
+            shown = str(mu_parts)[:-1] + ", 0" * (b - len(mu_parts)) + "]"
+            raise ValueError(f"trace does not reverse to a partition: recovered {shown}")
         previous = value
-    lam = Partition._trusted(tuple(arr[: len(arr) - arr.count(0)]))
-    return lam, Partition._trusted(tuple(mu_parts))
+    return Partition._trusted(tuple(arr)), Partition._trusted(tuple(mu_parts))
 
 
 class BSteps(NamedTuple):
@@ -141,7 +143,7 @@ def b_steps(lam: Partition, i: int) -> BSteps:
             f"{lam!r}, expected {i}"
         )
     k = 1 + sum(1 for value in lam.parts if value > i)
-    tau = Partition._trusted(_strip_zeros([lam.parts[j] - (i + 1) for j in range(k - 1)]))
+    tau = Partition._trusted(tuple(p - i - 1 for p in lam.parts[: k - 1] if p > i + 1))
     eps_prime = Partition._trusted(lam.parts[k + i - 1 :]).conjugate()
     gamma, rho = f_bijection(k - 1, i - 1, tau, eps_prime)
     rho_rows = rho.conjugate()
@@ -173,8 +175,8 @@ def b_inverse(mu: Partition) -> tuple[Partition, int]:
     k = s - i + 1
     if k < 1 or mu.t != i + 2 * k - 2:
         raise ValueError(f"{mu!r} does not have the {i + 2 * k - 2} parts a fixed-hook image needs")
-    gamma = Partition._trusted(_strip_zeros([mu.parts[j] - i for j in range(k + i - 2)]))
-    rho_rows = Partition._trusted(_strip_zeros([mu.parts[s + r] - 1 for r in range(k - 1)]))
+    gamma = Partition._trusted(tuple(p - i for p in mu.parts[: k + i - 2] if p > i))
+    rho_rows = Partition._trusted(tuple(p - 1 for p in mu.parts[s:] if p > 1))
     tau, eps_prime = f_inverse(k - 1, i - 1, gamma, rho_rows.conjugate())
     eps = eps_prime.conjugate()
     lam_top = tuple(i + 1 + v for v in tau.parts) + (i + 1,) * (k - 1 - tau.t)

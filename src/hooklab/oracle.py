@@ -178,8 +178,6 @@ def _mex_census(k: int, n: int) -> Counter:
 @functools.lru_cache(maxsize=None)
 def _ones_census(ones: int, n: int) -> dict[int, int]:
     """How many partitions of n with exactly `ones` parts equal to 1 have each #parts."""
-    if n < ones:
-        return {}
     return {ones + t: c for t, c in _lengths_from(n - ones, 2).items()}
 
 

@@ -109,8 +109,6 @@ class Series:
         offset = self.offset + other.offset
         dense = [0] * (order - offset + 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
             ea = self.offset + i
             top = order - ea
             for j, b in enumerate(other.coeffs):
@@ -265,8 +263,6 @@ def gf_ones_shifted(h: int, order: int) -> Series:
     The correction sum is empty for h >= 0.  Equals gf_h_fixed_part_k(h, 1).
     """
     inner_order = order - (h + 1)
-    if inner_order < 0:
-        return Series.zero(order)
     dense = _ratio(inner_order + 1, downs=range(2, inner_order + 1))
     if h < 0:
         steps = ((2, (), (m + 1,)) for m in range(-h - 1))
@@ -343,8 +339,6 @@ def gf_first_column_k_hooks(k: int, order: int) -> Series:
     if k < 1:
         raise ValueError(f"hook size must be >= 1, got {k}")
     inner_order = order - k
-    if inner_order < 0:
-        return Series.zero(order)
     dense = [0] * (inner_order + 1)
     steps = ((0, (), (m + 1,)) for m in range(k - 1))
     _carried_sum(dense, 0, _ratio(inner_order + 1), steps)

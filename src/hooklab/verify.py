@@ -83,8 +83,13 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _axis(value: int | None, default: tuple[int, ...]) -> tuple[int, ...]:
-    return default if value is None else (value,)
+def _axis(name: str, value: int | None) -> tuple[int, ...]:
+    """The values of the h or k axis: its default grid, or the one value given."""
+    if value is None:
+        return DEFAULT_H_GRID if name == "h" else DEFAULT_K_GRID
+    if name == "k" and value < 1:
+        raise ValueError(f"k must be >= 1, got {value}")
+    return (value,)
 
 
 def _series_values(s: series.Series, nmax: int) -> dict[int, int]:
@@ -109,9 +114,9 @@ class Statistic:
 
     def grid(self, h: int | None = None, k: int | None = None) -> list[dict[str, int]]:
         """Points of the default grid, or of the given h and k, inside the domain."""
-        axes = {"h": _axis(h, DEFAULT_H_GRID), "k": _axis(k, DEFAULT_K_GRID)}
-        points = (dict(zip(self.params, values))
-                  for values in itertools.product(*(axes[name] for name in self.params)))
+        given = {"h": h, "k": k}
+        axes = (_axis(name, given[name]) for name in self.params)
+        points = (dict(zip(self.params, values)) for values in itertools.product(*axes))
         return [point for point in points if self.admits(**point)]
 
     def series_values(self, point: dict[str, int], nmax: int, order: int) -> dict[int, int]:
@@ -202,7 +207,7 @@ def _verify_prop22(nmax: int, order: int, h, k) -> Iterator[Cell]:
 
 
 def _verify_thm33(nmax: int, order: int, h, k) -> Iterator[Cell]:
-    hs = tuple(hv for hv in _axis(h, DEFAULT_H_GRID) if hv >= -1)
+    hs = tuple(hv for hv in _axis("h", h) if hv >= -1)
     if not hs:
         raise ValueError("thm3.3 is stated for h >= -1 only")
     for hv in hs:
@@ -222,7 +227,7 @@ def _verify_thm33(nmax: int, order: int, h, k) -> Iterator[Cell]:
 
 
 def _verify_thm34(nmax: int, order: int, h, k) -> Iterator[Cell]:
-    hs = _axis(h, DEFAULT_H_GRID)
+    hs = _axis("h", h)
     # the ones side reads weights up to nmax - h: refuse the grid before any cell runs
     check_weight(nmax - min(min(hs), 0))
     for hv in hs:
@@ -234,7 +239,7 @@ def _verify_thm34(nmax: int, order: int, h, k) -> Iterator[Cell]:
 
 def _verify_thm35(nmax: int, order: int, h, k) -> Iterator[Cell]:
     grid = [(hv, kv, kv * (kv - 1) // 2 - (hv + 1))
-            for hv in _axis(h, DEFAULT_H_GRID) for kv in _axis(k, DEFAULT_K_GRID)]
+            for hv in _axis("h", h) for kv in _axis("k", k)]
     # the mex side reads weights up to nmax + shift: refuse the grid before any cell runs
     check_weight(nmax + max(max(shift, 0) for _, _, shift in grid))
     for hv, kv, shift in grid:
@@ -246,7 +251,7 @@ def _verify_thm35(nmax: int, order: int, h, k) -> Iterator[Cell]:
 
 
 def _verify_cor36(nmax: int, order: int, h, k) -> Iterator[Cell]:
-    for kv in _axis(k, DEFAULT_K_GRID):
+    for kv in _axis("k", k):
         shift = kv * (kv - 1) // 2
         mexes = oracle.count_mex_class(kv, nmax).values
         hooks = oracle.count_h_fixed_by_part(-1, kv, nmax).values
@@ -257,7 +262,7 @@ def _verify_cor36(nmax: int, order: int, h, k) -> Iterator[Cell]:
 
 def _verify_thm42(nmax: int, order: int, h, k) -> Iterator[Cell]:
     note = "includes part-size resummation"
-    for hv in _axis(h, DEFAULT_H_GRID):
+    for hv in _axis("h", h):
         counts = oracle.count_fixed_hooks(hv, nmax).values
         coeffs = _series_values(series.gf_all_h_fixed(hv, order), nmax)
         # aggregation: the part-size refinement resums to the same series
@@ -270,7 +275,7 @@ def _verify_thm42(nmax: int, order: int, h, k) -> Iterator[Cell]:
 
 def _verify_thm43(nmax: int, order: int, h, k) -> Iterator[Cell]:
     note = "includes h-resummation"
-    for kv in _axis(k, DEFAULT_K_GRID):
+    for kv in _axis("k", k):
         counts = oracle.count_first_column_k_hooks(kv, nmax).values
         gf = series.gf_first_column_k_hooks(kv, order)
         # resummation over h <= k-1; terms with minimal exponent beyond
@@ -289,7 +294,7 @@ def _verify_pentagonal(nmax: int, order: int, h, k) -> Iterator[Cell]:
     if nmax < 1:
         raise ValueError("pentagonal-truncation is stated for n >= 1, so nmax must be >= 1")
     note = "n=0 excluded: the recurrence is stated for n >= 1"
-    for kv in _axis(k, DEFAULT_K_GRID):
+    for kv in _axis("k", k):
         mexes = oracle.count_mex_class(kv, nmax).values
         sign = 1 if kv % 2 else -1
         truncated = {n: sign * series.truncated_pentagonal(kv, n) for n in range(1, nmax + 1)}

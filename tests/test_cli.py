@@ -159,6 +159,13 @@ class TestBijectionCommand:
         assert time.monotonic() - start < 1.0
         assert code == 0
         assert json.loads(out)["output"] == {"nu": [], "rho": []}
+        # nor with the part sizes: the zeros a part slides past are counted, not stored
+        start = time.monotonic()
+        code, out, _ = run(capsys, "bijection", "F", "--a", "100000000", "--b", "1",
+                           "--lam", "[]", "--mu", "[100000000]")
+        assert time.monotonic() - start < 1.0
+        assert code == 0
+        assert json.loads(out)["output"] == {"nu": [], "rho": [100000000]}
 
     def test_f_inverse_cost_does_not_grow_with_capacity(self, capsys):
         start = time.monotonic()
@@ -167,6 +174,12 @@ class TestBijectionCommand:
         assert time.monotonic() - start < 1.0
         assert code == 0
         assert json.loads(out) == {"bijection": "F-inverse", "output": {"lam": [], "mu": []}}
+        start = time.monotonic()
+        code, out, _ = run(capsys, "bijection", "F", "--direction", "inverse", "--a", "100000000",
+                           "--b", "1", "--nu", "[]", "--rho", "[100000000]")
+        assert time.monotonic() - start < 1.0
+        assert code == 0
+        assert json.loads(out)["output"] == {"lam": [], "mu": [100000000]}
 
     def test_precondition_violation_names_check(self, capsys):
         code, _, err = run(capsys, "bijection", "B", "--input", "[3,2]", "--i", "2")
@@ -251,6 +264,15 @@ class TestUsageErrors:
         check_bounds("nmax", MAX_SEQ_NMAX, nmax=MAX_SEQ_NMAX)
         with pytest.raises(ValueError, match=f"series-order bound {MAX_SEQ_NMAX}$"):
             check_bounds("nmax", MAX_SEQ_NMAX, nmax=MAX_SEQ_NMAX + 1)
+
+    @pytest.mark.parametrize("theorem", ["thm3.2", "thm3.5", "thm4.1", "thm4.3"])
+    def test_k_checked_before_counting(self, capsys, theorem):
+        start = time.monotonic()
+        code, out, err = run(capsys, "verify", theorem, "--k", "0", "--nmax", "80", "--order", "80")
+        assert time.monotonic() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "k must be >= 1, got 0\n" in err
 
     @pytest.mark.parametrize("theorem, h, nmax, top", [
         # thm3.5's k = 5, h = -3 cells read the mex census 12 above nmax
