@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success/full match, 1 on a verification mismatch, 2 on
 usage errors (including bijection precondition violations, which are
-reported with the failing check named, negative bounds, empty grids and
-enumerations past the weight bound) and on a broken internal invariant.
+reported with the failing check named, negative bounds, empty grids,
+enumerations past the weight bound and B inputs past theirs) and on a
+broken internal invariant.
 """
 
 from __future__ import annotations
@@ -14,6 +15,11 @@ import sys
 
 from . import bijections, oracle, verify
 from .partitions import InvariantError, Partition
+
+# the largest round weight at which `bijection B --direction inverse --input
+# '[w-6,2,2,2]'`, whose image has about w parts, ends within 1 s (DECISIONS.md
+# section 16); F and the mex maps do work bounded by the number of parts
+MAX_B_WEIGHT = 600_000
 
 
 def _parse_partition(text: str, flag: str) -> Partition:
@@ -74,6 +80,9 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
     else:
         _require(args, ("input",), f"bijection {args.name}")
         partition = _parse_partition(args.input, "--input")
+        if args.name == "B" and partition.n > MAX_B_WEIGHT:
+            raise ValueError(f"the input weighs {partition.n}, above the B weight bound "
+                             f"{MAX_B_WEIGHT}")
         if args.name == "B" and forward:
             _require(args, ("i",), "bijection B forward")
             steps = bijections.b_steps(partition, args.i)._asdict()

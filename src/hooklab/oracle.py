@@ -21,6 +21,8 @@ the two sides is what the verification layer checks.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -159,7 +161,8 @@ def _mex_census(k: int, n: int) -> Counter:
     Such a partition is one or more copies of each of 1..k-1 (the prefix) plus
     a partition of the rest into parts >= k + 1, so every one of them is
     generated once: each prefix by its multiplicities, each rest by
-    _lengths_from.
+    _lengths_from; a rest below 2k + 2 has at most one partition into parts
+    >= k + 1, () or (rest,), and is counted where it is met.
     """
     census: Counter = Counter()
     if k * (k - 1) // 2 > n:  # no prefix fits, and k may be far too large to walk 1..k-1
@@ -170,8 +173,12 @@ def _mex_census(k: int, n: int) -> Counter:
         prefixes = [(weight + part * m, below + m) for weight, below in prefixes
                     for m in range(1, (room - weight) // part + 1)]
     for weight, below in prefixes:
-        for above, c in _lengths_from(n - weight, k + 1).items():
-            census[below - above] += c
+        rest = n - weight
+        if rest >= 2 * k + 2:
+            for above, c in _lengths_from(rest, k + 1).items():
+                census[below - above] += c
+        elif rest == 0 or rest > k:  # () or (rest,) is the rest's only partition
+            census[below - (rest > 0)] += 1
     return census
 
 
@@ -184,11 +191,10 @@ def _ones_census(ones: int, n: int) -> dict[int, int]:
 @functools.lru_cache(maxsize=None)
 def _first_column_census(n: int) -> Counter:
     """How many partitions of n have a first-column hook of each length."""
-    census: Counter = Counter()
-    for parts in partitions_of(n):
-        t = len(parts)
-        census.update(value + t - s for s, value in enumerate(parts, start=1))
-    return census
+    # the hook at position s of t parts is part s + t - s: the parts plus t-1, ..., 1, 0,
+    # counted in one pass at C level, each partition still streamed and counted on its own
+    return Counter(itertools.chain.from_iterable(
+        map(operator.add, parts, range(len(parts) - 1, -1, -1)) for parts in partitions_of(n)))
 
 
 def _fixed_hook_table(statistic: str, params: dict[str, int], h: int, n_max: int,

@@ -107,18 +107,35 @@ class Series:
             return Series.make([other * c for c in self.coeffs], self.order, offset=self.offset)
         order = min(self.order + other.offset, other.order + self.offset)
         offset = self.offset + other.offset
-        dense = [0] * (order - offset + 1)
-        for i, a in enumerate(self.coeffs):
-            ea = self.offset + i
-            top = order - ea
-            for j, b in enumerate(other.coeffs):
-                eb = other.offset + j
-                if eb > top:
-                    break
-                dense[ea + eb - offset] += a * b
-        return Series.make(dense, order, offset=offset)
+        length = max(order - offset + 1, 0)  # the product's exact coefficients
+        a, b = self.coeffs[:length], other.coeffs[:length]
+        if not a or not b:
+            return Series.zero(order)
+        return Series.make(_kronecker(a, b, min(length, len(a) + len(b) - 1)), order, offset=offset)
 
     __rmul__ = __mul__
+
+
+def _kronecker(a: tuple[int, ...], b: tuple[int, ...], length: int) -> list[int]:
+    # the first length coefficients of a * b by Kronecker substitution (Harvey,
+    # arXiv:0712.4046): each list becomes one integer, its digits in base
+    # 2^(8 width), and the two integers are multiplied once. No coefficient of
+    # the product exceeds bound in size, and width has the bits of bound plus a
+    # sign bit, so with the bias 2^(8 width - 1) added to every digit no digit
+    # borrows from or carries into the next, and each reads back exactly
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    width = (bound.bit_length() + 8) // 8
+    bias = 1 << (8 * width - 1)
+    biases = bias.to_bytes(width, "little") * length  # no operand is longer than length
+
+    def pack(coeffs: tuple[int, ...]) -> int:
+        digits = b"".join([(c + bias).to_bytes(width, "little") for c in coeffs])
+        return int.from_bytes(digits, "little") - int.from_bytes(biases[: len(digits)], "little")
+
+    size = width * length
+    product = pack(a) * pack(b) + int.from_bytes(biases, "little")
+    digits = (product & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    return [int.from_bytes(digits[i : i + width], "little") - bias for i in range(0, size, width)]
 
 
 # -- the product kernel on dense coefficient lists anchored at exponent 0 ----

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hooklab import InvariantError, Partition, mex_map
-from hooklab.cli import main
+from hooklab.cli import MAX_B_WEIGHT, main
 from hooklab.partitions import MAX_ENUMERATION_WEIGHT
 from hooklab.verify import MAX_SEQ_NMAX, MAX_VERIFY_ORDER, STATISTICS, THEOREM_IDS, check_bounds
 
@@ -180,6 +180,28 @@ class TestBijectionCommand:
         assert time.monotonic() - start < 1.0
         assert code == 0
         assert json.loads(out)["output"] == {"lam": [], "mu": [100000000]}
+
+    @pytest.mark.parametrize("argv", [
+        # B^-1 would build a lambda of about 10^7 parts
+        ["--direction", "inverse", "--input", "[10000000,2,2,2]"],
+        ["--input", f"[{MAX_B_WEIGHT},1]", "--i", "1"],
+    ])
+    def test_b_weight_bound_checked_before_the_map(self, capsys, argv):
+        start = time.monotonic()
+        code, out, err = run(capsys, "bijection", "B", *argv)
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (2, "")
+        assert f"above the B weight bound {MAX_B_WEIGHT}\n" in err
+
+    def test_b_weight_bound_is_inclusive(self, capsys):
+        code, out, _ = run(capsys, "bijection", "B", "--direction", "inverse",
+                           "--input", f"[{MAX_B_WEIGHT - 6},2,2,2]")
+        assert code == 0
+        lam = json.loads(out)["output"]["lam"]
+        assert sum(lam) == MAX_B_WEIGHT
+        code, out, _ = run(capsys, "bijection", "B", "--input", f"[{MAX_B_WEIGHT - 1},1]", "--i", "1")
+        assert code == 0
+        assert sum(json.loads(out)["output"]["mu"]) == MAX_B_WEIGHT
 
     def test_precondition_violation_names_check(self, capsys):
         code, _, err = run(capsys, "bijection", "B", "--input", "[3,2]", "--i", "2")

@@ -23,6 +23,7 @@ from hooklab import (
     partition_numbers,
 )
 from hooklab.oracle import (
+    _first_column_census,
     _fixed_hook_census,
     _in_box,
     _lengths_from,
@@ -314,6 +315,14 @@ class TestPrefixSplitDifferential:
                 assert _ones_census(j, n) == {t: c for (ones, t), c in whole.items()
                                               if ones == j}, (j, n)
             assert not _ones_census(n + 1, n), n
+
+    def test_first_column_census(self, partitions):
+        for n, ps in partitions.items():
+            whole = Counter()
+            for parts in ps:
+                t = len(parts)
+                whole.update(value + t - s for s, value in enumerate(parts, start=1))
+            assert _first_column_census(n) == whole, n
 
     def test_fixed_hook_census(self, partitions):
         for n, ps in partitions.items():

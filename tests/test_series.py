@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hooklab import (
     Series,
@@ -571,3 +571,47 @@ class TestKernelDifferential:
     def test_same_series_or_error_as_the_summand_products(self, order):
         for new, old, args in _kernel_grid(order):
             assert _outcome(new, *args) == _outcome(old, *args), (new.__name__, args)
+
+
+# -- the schoolbook product that Kronecker substitution replaced -------------
+
+def _schoolbook_mul(self, other):
+    if isinstance(other, int):
+        return Series.make([other * c for c in self.coeffs], self.order, offset=self.offset)
+    order = min(self.order + other.offset, other.order + self.offset)
+    offset = self.offset + other.offset
+    dense = [0] * (order - offset + 1)
+    for i, a in enumerate(self.coeffs):
+        ea = self.offset + i
+        top = order - ea
+        for j, b in enumerate(other.coeffs):
+            eb = other.offset + j
+            if eb > top:
+                break
+            dense[ea + eb - offset] += a * b
+    return Series.make(dense, order, offset=offset)
+
+
+# coefficients up to 10^40 in size, of either sign, so that a digit of the
+# packed integers takes from one byte to well over 64 bits; orders fall below
+# the offset too, and short lists give zero and one-coefficient series
+wide_series_st = st.builds(
+    lambda coeffs, offset, span: Series.make(coeffs, offset + span, offset=offset),
+    st.lists(st.one_of(st.integers(-9, 9), st.integers(-10**40, 10**40)), max_size=12),
+    st.integers(-6, 6),
+    st.integers(-3, 14),
+)
+
+
+class TestProductDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(wide_series_st, wide_series_st, st.integers(-10**40, 10**40))
+    @example(Series.zero(5), Series.make([7], 5), 3)
+    # one coefficient at a time: the product fills its digit up to the sign bit
+    @example(Series.make([255], 4), Series.make([1], 4), -1)
+    @example(Series.make([-128], 4, offset=-6), Series.make([-(2**63)], 9, offset=6), 2**64)
+    def test_same_series_as_the_schoolbook_product(self, a, b, c):
+        pairs = [(a * b, _schoolbook_mul(a, b)), (b * a, _schoolbook_mul(b, a)),
+                 (a * a, _schoolbook_mul(a, a)), (c * a, _schoolbook_mul(a, c))]
+        for new, old in pairs:
+            assert (new.offset, new.order, new.coeffs) == (old.offset, old.order, old.coeffs)

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import hooklab.verify as verify_mod
-from hooklab import CountTable, Series, oracle, series, verify_theorem
+from hooklab import CountTable, InvariantError, Series, oracle, series, verify_theorem
 from hooklab.cli import main
 
 # every (theorem id, side) pair: the oracle counter or series constructor the
@@ -118,6 +118,15 @@ class TestReports:
         assert not data["ok"]
         assert data["cells"][0]["first_divergence"] == {"n": 1, "expected": 0, "actual": 1}
 
+    @pytest.mark.parametrize("theorem, name", [("thm4.2", "gf_h_fixed_part_k"),
+                                               ("thm4.3", "gf_h_fixed_hook_k")])
+    def test_resummed_term_below_q0_raises(self, monkeypatch, theorem, name):
+        # the resummations add their terms into a list anchored at q^0
+        term = getattr(series, name)
+        monkeypatch.setattr(series, name,
+                            lambda *args: term(*args) + Series.monomial(-1, args[-1]))
+        with pytest.raises(InvariantError, match="starts at q\\^-1, below q\\^0"):
+            verify_theorem(theorem, nmax=8, order=16)
 
     def test_every_side_has_a_pinned_mismatch(self):
         pinned = [(case["argv"], case["side"], case["n"]) for case in MISMATCHES]
