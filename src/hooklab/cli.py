@@ -10,6 +10,7 @@ broken internal invariant.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -41,6 +42,11 @@ def _require(args: argparse.Namespace, names: tuple[str, ...], context: str) -> 
 def _cmd_seq(args: argparse.Namespace) -> int:
     verify.check_bounds("nmax", verify.MAX_SEQ_NMAX, nmax=args.nmax, start=args.start)
     stat = verify.STATISTICS[args.statistic]
+    for name in ("h", "k"):
+        if name not in stat.params and getattr(args, name) is not None:
+            takes = ", ".join(f"--{param}" for param in stat.params) or "none"
+            raise ValueError(f"seq {args.statistic} does not take --{name} "
+                             f"(its parameters: {takes})")
     _require(args, stat.params, f"seq {args.statistic}")
     point = {name: getattr(args, name) for name in stat.params}
     # every constructor is exact up to its order, so order nmax gives the same values
@@ -157,9 +163,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call to main, not at import: parsing leaves no state in
+    # the parser, so one serves every call of a process
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, InvariantError) as exc:

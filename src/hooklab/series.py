@@ -6,10 +6,12 @@ Combining two series truncates to the order on which the result is still
 exact.  Offsets may be negative; they arise from Laurent prefactors such
 as q^(h+1-C(k,2)).
 
-Each summed generating function carries its summand: the next term is the
-last one times a few factors (1 - q^a)^(+-1), applied in place.  A sum stops
-once the minimal q-exponent of the next term, which increases with the
-summation index, exceeds the truncation order.
+Each summed generating function is a sum of q^(e_i) B_i over a product of
+factors (1 - q^b) that gains one factor per index.  It is summed inside out,
+from its last index down: the running sum is divided by the one factor its
+index adds, and the next q-binomial B_i, carried from the one above and kept
+no longer than its degree, is added.  A sum starts at the last index whose
+minimal q-exponent, which increases with the index, is within the order.
 """
 
 from __future__ import annotations
@@ -164,18 +166,57 @@ def _ratio(length: int, ups=(), downs=()) -> list[int]:
     return dense
 
 
-def _carried_sum(total: list[int], exponent: int, term: list[int], steps) -> None:
-    # total += sum_i q^(e_i) T_i through q^(len(total) - 1), T_0 = term at
-    # e_0 = exponent; each (gap, ups, downs) of steps gives e_(i+1) = e_i + gap
-    # and T_(i+1) = T_i prod(1 - q^a) / prod(1 - q^b), built in place
-    order = len(total) - 1
-    for gap, ups, downs in itertools.chain([(0, (), ())], steps):
-        exponent += gap
+def _nested_sum(base: int, order: int, terms) -> list[int]:
+    # q^base .. q^order of the sum that total <- total / (1 - q^b) + q^e poly
+    # builds over the (e, poly, b) of terms in turn, b = 0 dividing by nothing:
+    # given from the last index down, a sum of q^(e_i) B_i over a product that
+    # gains a factor (1 - q^(b_i)) past each index i, in Horner form, so each
+    # factor divides the running sum once. Every e is at least base; poly is
+    # cut at the order
+    total = [0] * (order - base + 1)
+    low = len(total)  # total is zero below q^(base + low)
+    for e, poly, b in terms:
+        if b:
+            tail = total[low:]
+            _scale(tail, downs=(b,))
+            total[low:] = tail
+        e -= base
+        total[e : e + len(poly)] = map(operator.add, total[e : e + len(poly)], poly)
+        low = min(low, e)
+    return total
+
+
+def _binomials_down(a: int, b: int, cuts: list[int]):
+    # [a over b]_q, [a-1 over b]_q, ... (0 <= b <= a), one per cut, the i-th
+    # exact on at least its first cuts[i] coefficients; each is carried from the
+    # one above on the longest cut still to come, which the caller keeps at most
+    # one past the binomial's degree b(a-b), so no list outgrows its polynomial
+    widths = list(itertools.accumulate(reversed(cuts), max))
+    poly = _ratio(widths.pop(), range(a - b + 1, a + 1), range(1, b + 1))
+    yield poly
+    for top in range(a, a - len(cuts) + 1, -1):
+        del poly[widths.pop() :]
+        _scale(poly, (top - b,), (top,))  # [top over b] to [top-1 over b]
+        yield poly
+
+
+def _hook_terms(k: int, d: int, order: int, divisor: int = 0):
+    # (k + l d, [k-1 over l-1]_q, b) for l = 1, 2, ... while k + l d <= order,
+    # b = divisor at l = 1 and 0 after: the hook polynomial of gf_h_fixed_hook_k
+    # for _nested_sum. Each binomial is carried from the one before, cut at its
+    # degree (l-1)(k-l) or at the order, whichever comes first; a list grows only
+    # past a whole polynomial, as the room below the order shrinks with l
+    poly = [1]
+    for l in range(1, k + 1):
+        exponent = k + l * d
         if exponent > order:
             return
-        del term[order - exponent + 1 :]
-        _scale(term, ups, downs)
-        total[exponent:] = map(operator.add, total[exponent:], term)
+        if l > 1:  # [k-1 over l-2] to [k-1 over l-1]
+            cut = min((l - 1) * (k - l), order - exponent) + 1
+            del poly[cut:]
+            poly += [0] * (cut - len(poly))
+            _scale(poly, (k - l + 1,), (l - 1,))
+        yield exponent, poly, divisor if l == 1 else 0
 
 
 def inv_pochhammer_tail(a: int, order: int) -> Series:
@@ -215,14 +256,15 @@ def gf_fixed_hooks_double_sum(order: int) -> Series:
     with 1/(q)_m = 0 for m < 0.  With k = 2j + 1 + i the exponent is
     (j+1+i)(1+i) + j: 2j + 1 at i = 0, growing by j + 2i + 3 from i to i + 1.
     """
-    total = [0] * (order + 1)
-    inverse = _ratio(order)  # 1/(q)_j, carried from j to j + 1
-    for j in range((order + 1) // 2):  # while 2j + 1 <= order
-        del inverse[order - 2 * j :]
-        steps = ((j + 2 * i + 3, (), (i + 1,)) for i in itertools.count(0))
-        _carried_sum(total, 2 * j + 1, list(inverse), steps)
-        _scale(inverse, downs=(j + 1,))
-    return Series.make(total, order)
+    def inner(j):  # sum_i q^((j+1+i)(1+i) + j) / (q)_i, from q^(2j+1) on
+        exponents = itertools.accumulate(itertools.count(0), lambda e, i: e + j + 2 * i + 3,
+                                         initial=2 * j + 1)
+        exponents = list(itertools.takewhile(lambda e: e <= order, exponents))
+        terms = ((e, [1], i + 1) for i, e in reversed(list(enumerate(exponents))))
+        return 2 * j + 1, _nested_sum(2 * j + 1, order, terms), j + 1
+
+    # the sum over j of inner(j) / (q)_j, from the largest j with 2j + 1 <= order down
+    return Series.make(_nested_sum(0, order, map(inner, range((order - 1) // 2, -1, -1))), order)
 
 
 def gf_fixed_hooks_simplified(order: int) -> Series:
@@ -252,14 +294,17 @@ def gf_h_fixed_part_k(h: int, k: int, order: int) -> Series:
     if k < 1:
         raise ValueError(f"part size must be >= 1, got {k}")
     s0 = max(k - h, 1)
-    exponent = (k + 1) * (s0 - 1) + h + 1
-    if exponent > order:
+    base = (k + 1) * (s0 - 1) + h + 1
+    if base > order:
         return Series.zero(order)
-    downs = itertools.chain(range(1, s0 + h - k + 1), range(1, s0))  # (q)_{s0+h-k} (q)_{s0-1}
-    total = [0] * (order + 1)
-    steps = ((k + 1, (s + h,), (s + h - k + 1, s)) for s in itertools.count(s0))
-    _carried_sum(total, exponent, _ratio(order - exponent + 1, range(k, s0 + h), downs), steps)
-    return Series.make(total, order)
+    indices = range(s0 + (order - base) // (k + 1), s0 - 1, -1)  # s from the last one down
+    exponents = [(k + 1) * (s - 1) + h + 1 for s in indices]
+    cuts = [min((k - 1) * (s + h - k), order - e) + 1 for s, e in zip(indices, exponents)]
+    binomials = _binomials_down(indices[0] + h - 1, k - 1, cuts)
+    # the term of s + 1 has one more factor 1/(1 - q^s) than that of s
+    dense = _nested_sum(base, order, zip(exponents, binomials, indices))
+    _scale(dense, downs=range(1, s0))  # 1/(q)_{s0-1}, shared by every term
+    return Series.make(dense, order, offset=base)
 
 
 def gf_ones_exact(h: int, order: int) -> Series:
@@ -280,24 +325,28 @@ def gf_ones_shifted(h: int, order: int) -> Series:
     The correction sum is empty for h >= 0.  Equals gf_h_fixed_part_k(h, 1).
     """
     inner_order = order - (h + 1)
-    dense = _ratio(inner_order + 1, downs=range(2, inner_order + 1))
-    if h < 0:
-        steps = ((2, (), (m + 1,)) for m in range(-h - 1))
-        _carried_sum(dense, 0, [-1] + [0] * inner_order, steps)
-    return Series.make(dense, order, offset=h + 1)
+    # minus sum_m q^(2m)/(q)_m from the last m with 2m <= inner_order down, then 1/(q^2; q)_inf
+    last = min(-h - 1, inner_order // 2)
+    terms = itertools.chain(((2 * m, [-1], m + 1) for m in range(last, -1, -1)),
+                            [(0, _ratio(inner_order + 1, downs=range(2, inner_order + 1)), 0)])
+    return Series.make(_nested_sum(0, inner_order, terms), order, offset=h + 1)
 
 
 def gf_M_k(k: int, order: int) -> Series:
     """Andrews-Merca M_k(n): sum_{n>=k} q^(C(k,2) + (k+1) n) / (q)_n * [n-1 over k-1]_q."""
     if k < 1:
         raise ValueError(f"mex value must be >= 1, got {k}")
-    exponent = k * (k - 1) // 2 + (k + 1) * k
-    if exponent > order:
+    base = k * (k - 1) // 2 + (k + 1) * k
+    if base > order:
         return Series.zero(order)
-    total = [0] * (order + 1)
-    steps = ((k + 1, (n,), (n - k + 1, n + 1)) for n in itertools.count(k))
-    _carried_sum(total, exponent, _ratio(order - exponent + 1, downs=range(1, k + 1)), steps)
-    return Series.make(total, order)
+    indices = range(k + (order - base) // (k + 1), k - 1, -1)  # n from the last one down
+    exponents = [k * (k - 1) // 2 + (k + 1) * n for n in indices]
+    cuts = [min((k - 1) * (n - k), order - e) + 1 for n, e in zip(indices, exponents)]
+    binomials = _binomials_down(indices[0] - 1, k - 1, cuts)
+    # the term of n + 1 has one more factor 1/(1 - q^(n+1)) than that of n
+    dense = _nested_sum(base, order, zip(exponents, binomials, (n + 1 for n in indices)))
+    _scale(dense, downs=range(1, k + 1))  # 1/(q)_k, shared by every term
+    return Series.make(dense, order, offset=base)
 
 
 def gf_generalized_mex(h: int, k: int, order: int) -> Series:
@@ -324,28 +373,24 @@ def gf_h_fixed_hook_k(h: int, k: int, order: int) -> Series:
     d = k - h - 1
     if k + d > order:
         return Series.zero(order)
-    total = [0] * (order + 1)
-    steps = ((d, (k - l,), (l,)) for l in range(1, k))  # [k-1 over l-1]_q to [k-1 over l]_q
-    _carried_sum(total, k + d, _ratio(order - k - d + 1, downs=range(1, d + 1)), steps)
-    return Series.make(total, order)
+    dense = _nested_sum(k + d, order, _hook_terms(k, d, order))
+    _scale(dense, downs=range(1, d + 1))
+    return Series.make(dense, order, offset=k + d)
 
 
 def gf_all_h_fixed(h: int, order: int) -> Series:
     """Partitions of n with an h-fixed hook: the hook-size sum of gf_h_fixed_hook_k."""
     k0 = max(1, h + 1)
-    if 2 * k0 - h - 1 > order:
+    base = 2 * k0 - h - 1
+    if base > order:
         return Series.zero(order)
-    total = [0] * (order + 1)
-    inverse = _ratio(order + 1, downs=range(1, k0 - h))  # 1/(q)_d, carried from k to k + 1
-    for k in itertools.count(k0):
-        d = k - h - 1
-        if k + d > order:
-            break
-        del inverse[order - k - d + 1 :]
-        steps = ((d, (k - l,), (l,)) for l in range(1, k))  # as in gf_h_fixed_hook_k
-        _carried_sum(total, k + d, list(inverse), steps)
-        _scale(inverse, downs=(d + 1,))
-    return Series.make(total, order)
+    # k from the last one with k + d <= order down; the hook polynomial of k + 1
+    # has one more factor 1/(1 - q^(d+1)) than that of k, d = k - h - 1
+    ks = range((order + h + 1) // 2, k0 - 1, -1)
+    polys = (_hook_terms(k, k - h - 1, order, k - h) for k in ks)
+    dense = _nested_sum(base, order, itertools.chain.from_iterable(polys))
+    _scale(dense, downs=range(1, k0 - h))  # 1/(q)_d at k0, shared by every term
+    return Series.make(dense, order, offset=base)
 
 
 def gf_first_column_k_hooks(k: int, order: int) -> Series:
@@ -355,10 +400,11 @@ def gf_first_column_k_hooks(k: int, order: int) -> Series:
     """
     if k < 1:
         raise ValueError(f"hook size must be >= 1, got {k}")
+    if k > order:
+        return Series.zero(order)
     inner_order = order - k
-    dense = [0] * (inner_order + 1)
-    steps = ((0, (), (m + 1,)) for m in range(k - 1))
-    _carried_sum(dense, 0, _ratio(inner_order + 1), steps)
+    # sum_{m<k} 1/(q)_m from m = k - 1 down, then 1/(q^k; q)_inf
+    dense = _nested_sum(0, inner_order, ((0, [1], m + 1) for m in range(k - 1, -1, -1)))
     _scale(dense, downs=range(k, inner_order + 1))
     return Series.make(dense, order, offset=k)
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import time
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hooklab import InvariantError, Partition, mex_map
+from hooklab import InvariantError, Partition, cli, mex_map
 from hooklab.cli import MAX_B_WEIGHT, main
 from hooklab.partitions import MAX_ENUMERATION_WEIGHT
 from hooklab.verify import MAX_SEQ_NMAX, MAX_VERIFY_ORDER, STATISTICS, THEOREM_IDS, check_bounds
@@ -15,6 +16,7 @@ from hooklab.verify import MAX_SEQ_NMAX, MAX_VERIFY_ORDER, STATISTICS, THEOREM_I
 DATA = Path(__file__).parent / "data"
 GOLDEN_BIJECTIONS = json.loads((DATA / "bijection_cli.json").read_text())
 GOLDEN_VERIFY = json.loads((DATA / "verify_reports.json").read_text())
+SEQ_DIGESTS = json.loads((DATA / "seq_bfile_digests.json").read_text())
 
 
 def run(capsys, *argv):
@@ -108,6 +110,16 @@ class TestSeqCommand:
         code, _, err = run(capsys, "seq", "M", "--nmax", "5")
         assert code == 2
         assert "--k" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["M", "--k", "3", "--h", "5"], "seq M does not take --h (its parameters: --k)"),
+        (["partition-numbers", "--k", "0"],
+         "seq partition-numbers does not take --k (its parameters: none)"),
+        (["fixed-hooks", "--h", "0", "--k", "2"],
+         "seq fixed-hooks does not take --k (its parameters: --h)"),
+    ])
+    def test_parameter_the_statistic_does_not_take(self, capsys, argv, message):
+        assert run(capsys, "seq", *argv, "--nmax", "5") == (2, "", f"error: {message}\n")
 
     def test_deterministic_output(self, capsys):
         first = run(capsys, "seq", "fixed-hooks", "--h", "1", "--nmax", "12")
@@ -236,6 +248,50 @@ class TestStatisticTable:
             assert data["params"] == point
             values = {int(n): count for n, count in data["values"].items()}
             assert values == stat.oracle_values(point, 12), point
+
+    def test_default_grid_bfiles_are_byte_identical(self, capsys):
+        nmax = SEQ_DIGESTS["nmax"]
+        digests = {}
+        for name, stat in STATISTICS.items():
+            for point in stat.grid():
+                flags = [arg for item in point.items() for arg in (f"--{item[0]}", str(item[1]))]
+                code, out, _ = run(capsys, "seq", name, *flags, "--nmax", str(nmax),
+                                   "--format", "bfile", "--start", "0")
+                assert code == 0
+                key = " ".join([name, *(f"{param}={value}" for param, value in point.items())])
+                digests[key] = hashlib.sha256(out.encode()).hexdigest()
+        assert digests == SEQ_DIGESTS["sha256"]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    @pytest.mark.parametrize("calls", [
+        # a given --h, then the default h grid
+        [["verify", "thm4.1", "--h", "1", "--nmax", "8"], ["verify", "thm4.1", "--nmax", "8"]],
+        [["seq", "M", "--k", "2", "--nmax", "20", "--format", "json"],
+         ["seq", "M", "--k", "2", "--nmax", "20", "--format", "bfile"]],
+        # argparse exits 2, then a valid call
+        [["verify", "thm9.9"], ["seq", "partition-numbers", "--nmax", "10"]],
+        [["seq", "M", "--k"], ["seq", "M", "--k", "1", "--nmax", "6"]],
+    ], ids=["verify-h-then-grid", "seq-json-then-bfile", "bad-id-then-seq", "bad-k-then-k"])
+    def test_one_parser_prints_what_fresh_ones_print(self, capsys, monkeypatch, calls):
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(_outcome(capsys, argv))
+        build, built = cli.build_parser, []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(None) or build())
+        cli._parser.cache_clear()
+        assert [_outcome(capsys, argv) for argv in calls] == fresh
+        assert len(built) == 1
 
 
 class TestUsageErrors:

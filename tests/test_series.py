@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,6 +27,7 @@ from hooklab import (
     truncated_pentagonal,
 )
 from hooklab.oracle import partitions_of
+from hooklab.series import _ratio, _scale
 
 N = 60
 
@@ -566,10 +568,141 @@ def _kernel_grid(order):
             yield gf_h_fixed_hook_k, _old_gf_h_fixed_hook_k, (h, k, order)
 
 
+# -- the carried sums that the Horner-form sums replaced -----------------------
+#
+# Each summand was carried from the one before at the full length left below
+# the order, T_(i+1) = T_i prod(1 - q^a) / prod(1 - q^b), and added in turn.
+
+def _carried_sum(total, exponent, term, steps):
+    order = len(total) - 1
+    for gap, ups, downs in itertools.chain([(0, (), ())], steps):
+        exponent += gap
+        if exponent > order:
+            return
+        del term[order - exponent + 1 :]
+        _scale(term, ups, downs)
+        total[exponent:] = map(operator.add, total[exponent:], term)
+
+
+def _carried_gf_fixed_hooks_double_sum(order):
+    total = [0] * (order + 1)
+    inverse = _ratio(order)
+    for j in range((order + 1) // 2):
+        del inverse[order - 2 * j :]
+        steps = ((j + 2 * i + 3, (), (i + 1,)) for i in itertools.count(0))
+        _carried_sum(total, 2 * j + 1, list(inverse), steps)
+        _scale(inverse, downs=(j + 1,))
+    return Series.make(total, order)
+
+
+def _carried_gf_h_fixed_part_k(h, k, order):
+    if k < 1:
+        raise ValueError(f"part size must be >= 1, got {k}")
+    s0 = max(k - h, 1)
+    exponent = (k + 1) * (s0 - 1) + h + 1
+    if exponent > order:
+        return Series.zero(order)
+    downs = itertools.chain(range(1, s0 + h - k + 1), range(1, s0))
+    total = [0] * (order + 1)
+    steps = ((k + 1, (s + h,), (s + h - k + 1, s)) for s in itertools.count(s0))
+    _carried_sum(total, exponent, _ratio(order - exponent + 1, range(k, s0 + h), downs), steps)
+    return Series.make(total, order)
+
+
+def _carried_gf_ones_shifted(h, order):
+    inner_order = order - (h + 1)
+    dense = _ratio(inner_order + 1, downs=range(2, inner_order + 1))
+    if h < 0:
+        steps = ((2, (), (m + 1,)) for m in range(-h - 1))
+        _carried_sum(dense, 0, [-1] + [0] * inner_order, steps)
+    return Series.make(dense, order, offset=h + 1)
+
+
+def _carried_gf_ones_exact(h, order):
+    if h < -1:
+        raise ValueError(f"the exact-ones form needs h >= -1, got {h}")
+    return _carried_gf_ones_shifted(h, order)
+
+
+def _carried_gf_M_k(k, order):
+    if k < 1:
+        raise ValueError(f"mex value must be >= 1, got {k}")
+    exponent = k * (k - 1) // 2 + (k + 1) * k
+    if exponent > order:
+        return Series.zero(order)
+    total = [0] * (order + 1)
+    steps = ((k + 1, (n,), (n - k + 1, n + 1)) for n in itertools.count(k))
+    _carried_sum(total, exponent, _ratio(order - exponent + 1, downs=range(1, k + 1)), steps)
+    return Series.make(total, order)
+
+
+def _carried_gf_h_fixed_hook_k(h, k, order):
+    if k < 1:
+        raise ValueError(f"hook size must be >= 1, got {k}")
+    if h > k - 1:
+        raise ValueError(f"an h-fixed hook of size {k} needs h <= {k - 1}, got {h}")
+    d = k - h - 1
+    if k + d > order:
+        return Series.zero(order)
+    total = [0] * (order + 1)
+    steps = ((d, (k - l,), (l,)) for l in range(1, k))
+    _carried_sum(total, k + d, _ratio(order - k - d + 1, downs=range(1, d + 1)), steps)
+    return Series.make(total, order)
+
+
+def _carried_gf_all_h_fixed(h, order):
+    k0 = max(1, h + 1)
+    if 2 * k0 - h - 1 > order:
+        return Series.zero(order)
+    total = [0] * (order + 1)
+    inverse = _ratio(order + 1, downs=range(1, k0 - h))
+    for k in itertools.count(k0):
+        d = k - h - 1
+        if k + d > order:
+            break
+        del inverse[order - k - d + 1 :]
+        steps = ((d, (k - l,), (l,)) for l in range(1, k))
+        _carried_sum(total, k + d, list(inverse), steps)
+        _scale(inverse, downs=(d + 1,))
+    return Series.make(total, order)
+
+
+def _carried_gf_first_column_k_hooks(k, order):
+    if k < 1:
+        raise ValueError(f"hook size must be >= 1, got {k}")
+    inner_order = order - k
+    dense = [0] * (inner_order + 1)
+    steps = ((0, (), (m + 1,)) for m in range(k - 1))
+    _carried_sum(dense, 0, _ratio(inner_order + 1), steps)
+    _scale(dense, downs=range(k, inner_order + 1))
+    return Series.make(dense, order, offset=k)
+
+
+def _carried_grid(order):
+    """(new, carried, args) at one order: h in -7..6, k in 0..7."""
+    hs, ks = range(-7, 7), range(0, 8)
+    yield gf_fixed_hooks_double_sum, _carried_gf_fixed_hooks_double_sum, (order,)
+    for k in ks:
+        yield gf_M_k, _carried_gf_M_k, (k, order)
+        yield gf_first_column_k_hooks, _carried_gf_first_column_k_hooks, (k, order)
+    for h in hs:
+        yield gf_ones_exact, _carried_gf_ones_exact, (h, order)
+        yield gf_ones_shifted, _carried_gf_ones_shifted, (h, order)
+        yield gf_all_h_fixed, _carried_gf_all_h_fixed, (h, order)
+        for k in ks:
+            yield gf_h_fixed_part_k, _carried_gf_h_fixed_part_k, (h, k, order)
+            yield gf_h_fixed_hook_k, _carried_gf_h_fixed_hook_k, (h, k, order)
+
+
 class TestKernelDifferential:
     @pytest.mark.parametrize("order", [*range(0, 41), 97])
     def test_same_series_or_error_as_the_summand_products(self, order):
         for new, old, args in _kernel_grid(order):
+            assert _outcome(new, *args) == _outcome(old, *args), (new.__name__, args)
+
+    @pytest.mark.parametrize("order", [*range(0, 41), 97, 250])
+    def test_same_series_or_error_as_the_carried_sums(self, order):
+        for new, old, args in _carried_grid(order):
             assert _outcome(new, *args) == _outcome(old, *args), (new.__name__, args)
 
 
