@@ -172,9 +172,7 @@ def b_inverse(mu: Partition) -> tuple[Partition, int]:
     if report is None:
         raise ValueError(f"{mu!r} has no 0-fixed hook")
     s, i = report.position, report.part
-    k = s - i + 1
-    if k < 1 or mu.t != i + 2 * k - 2:
-        raise ValueError(f"{mu!r} does not have the {i + 2 * k - 2} parts a fixed-hook image needs")
+    k = s - i + 1  # a 0-fixed hook has i + t - 2s = 0, so t = i + 2k - 2, and s <= t gives k >= 1
     gamma = Partition._trusted(tuple(p - i for p in mu.parts[: k + i - 2] if p > i))
     rho_rows = Partition._trusted(tuple(p - 1 for p in mu.parts[s:] if p > 1))
     tau, eps_prime = f_inverse(k - 1, i - 1, gamma, rho_rows.conjugate())

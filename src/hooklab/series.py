@@ -62,26 +62,28 @@ class Series:
         return cls.monomial(0, order)
 
     @classmethod
-    def monomial(cls, exponent: int, order: int, coefficient: int = 1) -> "Series":
-        return cls.make([coefficient], order, offset=exponent)
+    def monomial(cls, exponent: int, order: int) -> "Series":
+        return cls.make([1], order, offset=exponent)
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def coeff(self, exponent: int) -> int:
         """Exact coefficient of q^exponent; exponents above the order are unknown."""
-        if exponent > self.order:
-            raise TruncationError(
-                f"coefficient of q^{exponent} is beyond the truncation order {self.order}"
-            )
-        i = exponent - self.offset
-        if i < 0 or i >= len(self.coeffs):
-            return 0
-        return self.coeffs[i]
+        return self.coefficients(exponent, exponent)[0]
 
     def coefficients(self, lo: int, hi: int) -> tuple[int, ...]:
-        """Coefficients of q^lo .. q^hi inclusive."""
-        return tuple(self.coeff(e) for e in range(lo, hi + 1))
+        """Coefficients of q^lo .. q^hi inclusive, () when lo > hi; one slice of coeffs."""
+        n = hi - lo + 1
+        if n <= 0:
+            return ()
+        if hi > self.order:
+            raise TruncationError(f"coefficient of q^{max(lo, self.order + 1)} "
+                                  f"is beyond the truncation order {self.order}")
+        start = lo - self.offset
+        lead = min(max(-start, 0), n)  # exponents below the offset
+        body = self.coeffs[max(start, 0) : max(start + n, 0)]
+        return (0,) * lead + body + (0,) * (n - lead - len(body))
 
     def shift(self, m: int) -> "Series":
         """Multiply by q^m; offset and order move together, so nothing is lost."""
@@ -433,27 +435,21 @@ def pentagonal_series(order: int) -> Series:
     return Series.make(dense, order)
 
 
-@functools.lru_cache(maxsize=64)
-def _partition_numbers(n_max: int) -> tuple[int, ...]:
-    p = [0] * (n_max + 1)
-    p[0] = 1
-    for n in range(1, n_max + 1):
-        total = 0
-        for exponent, sign in pentagonal_exponents():
-            if exponent == 0:
-                continue
-            if exponent > n:
-                break
-            total -= sign * p[n - exponent]
-        p[n] = total
-    return tuple(p)
+_P = [1]  # p(0), p(1), ...: the only memo of p(n), grown by partition_numbers and never shrunk
 
 
 def partition_numbers(n_max: int) -> list[int]:
-    """p(0..n_max) via the pentagonal number recurrence."""
+    """p(0..n_max) via the pentagonal number recurrence, each p(n) computed once per process."""
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
-    return list(_partition_numbers(n_max))
+    for n in range(len(_P), n_max + 1):
+        total = 0
+        for exponent, sign in itertools.islice(pentagonal_exponents(), 1, None):
+            if exponent > n:
+                break
+            total -= sign * _P[n - exponent]
+        _P.append(total)
+    return _P[: n_max + 1]
 
 
 def truncated_pentagonal(kk: int, n: int) -> int:

@@ -108,6 +108,8 @@ class TestMexCounts:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             count_mex_class(0, 5)
+        with pytest.raises(ValueError, match="mex value must be >= 1, got 0"):
+            count_generalized_mex(0, 0, 5)
 
 
 class TestOnesCounts:

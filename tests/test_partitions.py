@@ -117,6 +117,20 @@ class TestFixedHooks:
                         assert r.hook == r.position + h
                         assert 1 <= r.position <= lam.t
 
+    def test_block_shape(self):
+        # hook = p + t - s = s + h gives t = 2s + h - p, and the m = t - s rows
+        # below row s number at least 0, so s >= p - h. At h = 0 (p = i, k =
+        # s - i + 1) this is t = i + 2k - 2 with k >= 1, which B^-1 relies on
+        # without a check; it is also the (s, p) block that the oracle's
+        # fixed-hook census walks
+        for n in range(23):
+            for lam in generate_partitions(n):
+                for h in range(-4, 5):
+                    r = lam.find_h_fixed_hook(h)
+                    if r is not None:
+                        assert lam.t == 2 * r.position + h - r.part
+                        assert r.position >= r.part - h
+
     def test_uniqueness(self):
         for n in range(15):
             for lam in generate_partitions(n):
@@ -128,6 +142,8 @@ class TestFixedHooks:
         assert P(2, 2, 1).find_h_fixed_point(0) == 2
         assert P(3, 1).find_h_fixed_point(0) is None
         assert P(3, 1).find_h_fixed_point(2) == 1
+        # parts[i] - i stays above h to the last part
+        assert P(5).find_h_fixed_point(-3) is None
 
 
 class TestMexAndMultiplicity:
@@ -151,6 +167,8 @@ class TestMexAndMultiplicity:
         assert P(3, 2, 2, 1).multiplicity(2) == 2
         assert P(3, 2, 2, 1).multiplicity(1) == 1
         assert P(5).multiplicity(3) == 0
+        with pytest.raises(ValueError, match="part size must be positive, got 0"):
+            P(5).multiplicity(0)
 
     def test_parts_equal_to_multiplicity(self):
         assert P(3, 2, 2, 1).parts_equal_to_multiplicity() == {1, 2}

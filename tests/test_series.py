@@ -1,5 +1,7 @@
+import functools
 import itertools
 import operator
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,10 +26,11 @@ from hooklab import (
     partition_numbers,
     pentagonal_series,
     q_binomial,
+    series,
     truncated_pentagonal,
 )
 from hooklab.oracle import partitions_of
-from hooklab.series import _ratio, _scale
+from hooklab.series import _ratio, _scale, pentagonal_exponents
 
 N = 60
 
@@ -323,6 +326,8 @@ class TestPentagonal:
         p = partition_numbers(10)
         assert p == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
         assert p[5] == p[4] + p[3] - p[0]
+        with pytest.raises(ValueError, match="need n_max >= 0, got -1"):
+            partition_numbers(-1)
 
     def test_euler_inverse(self):
         product = pentagonal_series(N) * inv_pochhammer_tail(1, N)
@@ -332,6 +337,10 @@ class TestPentagonal:
         assert truncated_pentagonal(1, 5) == 2
         p = partition_numbers(9)
         assert truncated_pentagonal(2, 9) == p[9] - p[8] - p[7] + p[4]
+        with pytest.raises(ValueError, match="need kk >= 1, got 0"):
+            truncated_pentagonal(0, 5)
+        with pytest.raises(ValueError, match="need n >= 0, got -1"):
+            truncated_pentagonal(1, -1)
 
     def test_truncation_sign_identity(self):
         from hooklab import count_mex_class_multi
@@ -748,3 +757,81 @@ class TestProductDifferential:
                  (a * a, _schoolbook_mul(a, a)), (c * a, _schoolbook_mul(a, c))]
         for new, old in pairs:
             assert (new.offset, new.order, new.coeffs) == (old.offset, old.order, old.coeffs)
+
+
+# -- the per-exponent reads and the cached recurrence that one slice and one
+# grow-only list replaced ---------------------------------------------------
+
+def _per_exponent_coeff(s, exponent):
+    if exponent > s.order:
+        raise TruncationError(
+            f"coefficient of q^{exponent} is beyond the truncation order {s.order}"
+        )
+    i = exponent - s.offset
+    if i < 0 or i >= len(s.coeffs):
+        return 0
+    return s.coeffs[i]
+
+
+def _per_exponent_coefficients(s, lo, hi):
+    return tuple(_per_exponent_coeff(s, e) for e in range(lo, hi + 1))
+
+
+@functools.lru_cache(maxsize=64)
+def _cached_partition_numbers(n_max):
+    p = [0] * (n_max + 1)
+    p[0] = 1
+    for n in range(1, n_max + 1):
+        total = 0
+        for exponent, sign in pentagonal_exponents():
+            if exponent == 0:
+                continue
+            if exponent > n:
+                break
+            total -= sign * p[n - exponent]
+        p[n] = total
+    return tuple(p)
+
+
+def _cached_truncated_pentagonal(kk, n):
+    p = _cached_partition_numbers(n)
+    total = 0
+    for exponent, sign in itertools.islice(pentagonal_exponents(), 2 * kk):
+        if exponent > n:
+            break
+        total += sign * p[n - exponent]
+    return total
+
+
+def _read(fn, *args):
+    try:
+        return fn(*args)
+    except TruncationError as exc:
+        return TruncationError, str(exc)
+
+
+class TestReadDifferential:
+    @settings(max_examples=400)
+    @given(any_series_st, st.integers(-14, 16), st.integers(-14, 16))
+    @example(Series.make([1, 2], 5, offset=3), -4, -1)  # wholly below the offset
+    @example(Series.make([1, 2], 5, offset=3), 2, 9)  # from below the offset to above the order
+    @example(Series.make([1, 2], 5, offset=3), 9, 7)  # lo > hi, both above the order
+    @example(Series.make([1, -2, 3], -3, offset=-4), -6, -3)  # negative exponents and order
+    @example(Series.zero(3), -2, 3)
+    def test_same_tuple_or_error_as_the_per_exponent_reads(self, s, lo, hi):
+        assert _read(s.coefficients, lo, hi) == _read(_per_exponent_coefficients, s, lo, hi)
+        assert _read(s.coeff, lo) == _read(_per_exponent_coeff, s, lo)
+
+    def test_same_numbers_as_the_cached_recurrence(self, monkeypatch):
+        monkeypatch.setattr(series, "_P", [1])  # grow the memo from p(0) alone
+        old = {partition_numbers: lambda n: list(_cached_partition_numbers(n)),
+               truncated_pentagonal: _cached_truncated_pentagonal}
+        asks = [(partition_numbers, n) for n in range(121)]
+        asks += [(truncated_pentagonal, k, n) for k in range(1, 7) for n in range(121)]
+        random.Random(15).shuffle(asks)
+        for fn, *args in asks:
+            got = fn(*args)
+            assert got == old[fn](*args), (fn.__name__, args)
+            if isinstance(got, list):  # a caller's edit must not reach a later answer
+                got.reverse()
+                got.append(-1)
