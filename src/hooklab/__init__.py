@@ -20,6 +20,7 @@ from .series import (
     gf_generalized_mex,
     gf_h_fixed_hook_k,
     gf_h_fixed_part_k,
+    gf_hook_k_all_h,
     gf_M_k,
     gf_ones_exact,
     gf_ones_shifted,
@@ -85,6 +86,7 @@ __all__ = [
     "gf_generalized_mex",
     "gf_h_fixed_hook_k",
     "gf_h_fixed_part_k",
+    "gf_hook_k_all_h",
     "gf_ones_exact",
     "gf_ones_shifted",
     "inv_finite_pochhammer",

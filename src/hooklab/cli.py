@@ -42,11 +42,7 @@ def _require(args: argparse.Namespace, names: tuple[str, ...], context: str) -> 
 def _cmd_seq(args: argparse.Namespace) -> int:
     verify.check_bounds("nmax", verify.MAX_SEQ_NMAX, nmax=args.nmax, start=args.start)
     stat = verify.STATISTICS[args.statistic]
-    for name in ("h", "k"):
-        if name not in stat.params and getattr(args, name) is not None:
-            takes = ", ".join(f"--{param}" for param in stat.params) or "none"
-            raise ValueError(f"seq {args.statistic} does not take --{name} "
-                             f"(its parameters: {takes})")
+    verify.check_axes(f"seq {args.statistic}", stat.params, h=args.h, k=args.k)
     _require(args, stat.params, f"seq {args.statistic}")
     point = {name: getattr(args, name) for name in stat.params}
     # every constructor is exact up to its order, so order nmax gives the same values

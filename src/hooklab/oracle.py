@@ -12,6 +12,8 @@ census, so the cells of a grid share its sweeps:
   generated, each once: the rows below a fixed hook plus every choice of
   the rows above it, or a fixed prefix of small parts plus every partition
   of the rest into parts above a floor;
+* the pairs (lambda, i) with i appearing i times in lambda are built the
+  same way, i copies of i between the parts below i and the rest above it;
 * box counts walk the partitions in their box, one weight at a time.
 
 Nothing in this module imports :mod:`hooklab.series`; agreement between
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
@@ -217,20 +220,24 @@ def count_fixed_hooks(h: int, n_max: int) -> CountTable:
 
 
 def count_parts_eq_mult(n_max: int) -> CountTable:
-    """Sum over partitions of n of the number of part sizes equal to their multiplicity."""
+    """Sum over partitions of n of the number of part sizes equal to their multiplicity.
+
+    That is the number of pairs (lambda, i) in which i appears exactly i times
+    in lambda, the domain of Theorem 2.1's bijection B.  Each pair is i copies
+    of i, the parts below i by their multiplicities, and a partition of the
+    rest into parts >= i + 1, so every pair is generated once: each set of
+    lower parts in turn, each rest by _lengths_from.
+    """
 
     def one(n: int) -> int:
         total = 0
-        for parts in partitions_of(n):
-            i = 0
-            t = len(parts)
-            while i < t:
-                j = i
-                while j < t and parts[j] == parts[i]:
-                    j += 1
-                if parts[i] == j - i:
-                    total += 1
-                i = j
+        for i in range(1, math.isqrt(n) + 1):
+            room = n - i * i
+            lower = [0]  # weights of the multiplicities of 1..part-1
+            for part in range(1, i):
+                lower = [weight + part * c for weight in lower
+                         for c in range((room - weight) // part + 1)]
+            total += sum(sum(_lengths_from(room - weight, i + 1).values()) for weight in lower)
         return total
 
     return _table("parts-eq-mult", {}, n_max, one)

@@ -380,6 +380,23 @@ def gf_h_fixed_hook_k(h: int, k: int, order: int) -> Series:
     return Series.make(dense, order, offset=k + d)
 
 
+def gf_hook_k_all_h(k: int, order: int) -> Series:
+    """h-fixed hooks of hook length exactly k, counted over every h <= k-1.
+
+    sum_{h <= k-1} gf_h_fixed_hook_k(h, k); with d = k - h - 1 the term of h
+    is q^k sum_l q^(l d) [k-1 over l-1]_q / (q)_d.
+    """
+    if k < 1:
+        raise ValueError(f"hook size must be >= 1, got {k}")
+    if k > order:
+        return Series.zero(order)
+    # d from the last one with k + d <= order down; the hook polynomial of d + 1
+    # has one more factor 1/(1 - q^(d+1)) than that of d, and that of d = 0 none
+    polys = (_hook_terms(k, d, order, d + 1) for d in range(order - k, -1, -1))
+    return Series.make(_nested_sum(k, order, itertools.chain.from_iterable(polys)), order,
+                       offset=k)
+
+
 def gf_all_h_fixed(h: int, order: int) -> Series:
     """Partitions of n with an h-fixed hook: the hook-size sum of gf_h_fixed_hook_k."""
     k0 = max(1, h + 1)

@@ -27,8 +27,9 @@ DEFAULT_ORDER = 60
 DEFAULT_H_GRID = tuple(range(-3, 4))
 DEFAULT_K_GRID = tuple(range(1, 6))
 # the largest round series order at which the slowest path of each command ends
-# within a minute (DECISIONS.md section 11): verify thm4.3, seq fixed-hooks
-MAX_VERIFY_ORDER = 1200
+# within a minute (DECISIONS.md section 11): verify thm4.2 with h near order / 2,
+# seq fixed-hooks
+MAX_VERIFY_ORDER = 2000
 MAX_SEQ_NMAX = 10000
 
 
@@ -162,6 +163,14 @@ def check_bounds(series_order: str, limit: int, **bounds: int) -> None:
         raise ValueError(f"{series_order}={order} exceeds the series-order bound {limit}")
 
 
+def check_axes(command: str, params: tuple[str, ...], **given: int | None) -> None:
+    """Refuse an --h or --k that command does not take, naming the parameters it does."""
+    for name, value in given.items():
+        if value is not None and name not in params:
+            takes = ", ".join(f"--{param}" for param in params) or "none"
+            raise ValueError(f"{command} does not take --{name} (its parameters: {takes})")
+
+
 # A check is (expected, actuals, note): expected is compared with each actual
 # over its keys.  A cell is (params, checks, note), note being that of a match.
 Check = tuple[dict[int, int], list[dict[int, int]], str]
@@ -203,10 +212,12 @@ def _verify_thm21(nmax: int, order: int, h, k) -> Iterator[Cell]:
 
 def _verify_prop22(nmax: int, order: int, h, k) -> Iterator[Cell]:
     note = "series identity plus box-partition counts"
+    # 1/(q)_n for every n the grid reads: a, b and a + b
+    inverses = [series.inv_finite_pochhammer(n, order) for n in range(17)]
     for a, b in itertools.product(range(9), repeat=2):
         binomial = series.q_binomial(a + b, a, order)
-        lhs = series.inv_finite_pochhammer(a, order) * series.inv_finite_pochhammer(b, order)
-        rhs = series.inv_finite_pochhammer(a + b, order) * binomial
+        lhs = inverses[a] * inverses[b]
+        rhs = inverses[a + b] * binomial
         # oracle side: the q-binomial factor counts partitions in an a x b box
         top = min(nmax, a * b)
         counted = oracle.count_box_partitions(a, b, top).values
@@ -287,14 +298,9 @@ def _verify_thm43(nmax: int, order: int, h, k) -> Iterator[Cell]:
     for kv in _axis("k", k):
         counts = oracle.count_first_column_k_hooks(kv, nmax).values
         coeffs = _series_values(series.gf_first_column_k_hooks(kv, order), order)
-        # resummation over h <= k-1; terms with minimal exponent beyond
-        # the order vanish, which bounds h from below.
-        total = [0] * (order + 1)
-        hv = kv - 1
-        while kv + (kv - hv - 1) <= order:
-            _add_into(total, series.gf_h_fixed_hook_k(hv, kv, order))
-            hv -= 1
-        checks = [(counts, [coeffs], ""), (coeffs, [dict(enumerate(total))], note)]
+        # aggregation: the hook-size refinement resums over h <= k-1 to the same series
+        resummed = _series_values(series.gf_hook_k_all_h(kv, order), order)
+        checks = [(counts, [coeffs], ""), (coeffs, [resummed], note)]
         yield {"k": kv}, checks, note
 
 
@@ -310,18 +316,19 @@ def _verify_pentagonal(nmax: int, order: int, h, k) -> Iterator[Cell]:
         yield {"k": kv}, [(expected, [truncated], note)], note
 
 
+# each id's verifier, and the axes of its grid that --h and --k may fix
 _VERIFIERS = {
-    "thm2.1": _verify_thm21,
-    "prop2.2": _verify_prop22,
-    "thm3.2": functools.partial(_verify_statistic, "fixed-hooks-by-part"),
-    "thm3.3": _verify_thm33,
-    "thm3.4": _verify_thm34,
-    "thm3.5": _verify_thm35,
-    "cor3.6": _verify_cor36,
-    "thm4.1": functools.partial(_verify_statistic, "fixed-hooks-by-hook"),
-    "thm4.2": _verify_thm42,
-    "thm4.3": _verify_thm43,
-    "pentagonal-truncation": _verify_pentagonal,
+    "thm2.1": (_verify_thm21, ()),
+    "prop2.2": (_verify_prop22, ()),
+    "thm3.2": (functools.partial(_verify_statistic, "fixed-hooks-by-part"), ("h", "k")),
+    "thm3.3": (_verify_thm33, ("h",)),
+    "thm3.4": (_verify_thm34, ("h",)),
+    "thm3.5": (_verify_thm35, ("h", "k")),
+    "cor3.6": (_verify_cor36, ("k",)),
+    "thm4.1": (functools.partial(_verify_statistic, "fixed-hooks-by-hook"), ("h", "k")),
+    "thm4.2": (_verify_thm42, ("h",)),
+    "thm4.3": (_verify_thm43, ("k",)),
+    "pentagonal-truncation": (_verify_pentagonal, ("k",)),
 }
 
 THEOREM_IDS = tuple(_VERIFIERS)
@@ -332,8 +339,10 @@ def verify_theorem(theorem: str, *, nmax: int = DEFAULT_NMAX, order: int = DEFAU
     """Run one theorem's coefficient-vs-oracle grid and report per-cell status."""
     if theorem not in _VERIFIERS:
         raise ValueError(f"unknown theorem id {theorem!r}; choose from {', '.join(THEOREM_IDS)}")
+    verifier, axes = _VERIFIERS[theorem]
     check_bounds("order", MAX_VERIFY_ORDER, nmax=nmax, order=order)
+    check_axes(f"verify {theorem}", axes, h=h, k=k)
     if nmax > order:
         raise ValueError(f"nmax={nmax} exceeds the series order {order}")
-    cells = [_run(*cell) for cell in _VERIFIERS[theorem](nmax, order, h, k)]
+    cells = [_run(*cell) for cell in verifier(nmax, order, h, k)]
     return VerificationReport(theorem, nmax, order, cells)

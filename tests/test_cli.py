@@ -65,12 +65,32 @@ class TestVerifyCommand:
         assert code == 2
         assert "exceeds" in err
 
+    @pytest.mark.parametrize("theorem, flag, takes", [
+        ("thm2.1", "--h", "none"),
+        ("thm2.1", "--k", "none"),
+        ("prop2.2", "--k", "none"),
+        ("thm3.3", "--k", "--h"),
+        ("thm3.4", "--k", "--h"),
+        ("thm4.2", "--k", "--h"),
+        ("cor3.6", "--h", "--k"),
+        ("thm4.3", "--h", "--k"),
+        ("pentagonal-truncation", "--h", "--k"),
+    ])
+    def test_parameter_the_theorem_does_not_take(self, capsys, theorem, flag, takes):
+        # refused before any count, which at nmax 80 would take seconds
+        start = time.monotonic()
+        result = run(capsys, "verify", theorem, flag, "1", "--nmax", "80", "--order", "80")
+        assert time.monotonic() - start < 1.0
+        assert result == (2, "", f"error: verify {theorem} does not take {flag} "
+                                 f"(its parameters: {takes})\n")
+
     @pytest.mark.parametrize("case", GOLDEN_VERIFY,
                              ids=[" ".join(case["argv"][1:]) for case in GOLDEN_VERIFY])
     def test_output_is_pinned(self, capsys, case):
         # every theorem id, text and --json, at the defaults and at
-        # --nmax 12 --order 24 --h -1 --k 2
-        assert run(capsys, *case["argv"]) == (case["code"], case["stdout"], "")
+        # --nmax 12 --order 24 --h -1 --k 2, which an id without both axes refuses
+        assert run(capsys, *case["argv"]) == (case["code"], case["stdout"],
+                                              case.get("stderr", ""))
 
 
 class TestSeqCommand:

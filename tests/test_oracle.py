@@ -183,6 +183,7 @@ class TestGeneratorGate:
         lambda: count_h_fixed_by_part(0, 1, MAX_ENUMERATION_WEIGHT + 1),
         lambda: count_h_fixed_by_hook(0, 1, MAX_ENUMERATION_WEIGHT + 1),
         lambda: count_box_partitions(3, 3, MAX_ENUMERATION_WEIGHT + 1),
+        lambda: count_parts_eq_mult(MAX_ENUMERATION_WEIGHT + 1),
     ])
     def test_enumeration_bound(self, call):
         with pytest.raises(ValueError, match=f"enumeration bound {MAX_ENUMERATION_WEIGHT}$"):
@@ -355,6 +356,28 @@ class TestPrefixSplitDifferential:
         assert [_in_box(n, n, 0) for n in (1, 2, 7)] == [0, 0, 0]
         assert _in_box(4, 10**9, 10**9) == 5  # no walk over the unused rows
         assert _in_box(0, -1, 0) == _in_box(0, 0, -1) == _in_box(3, -1, 3) == 0
+
+
+def _per_partition_parts_eq_mult(n):
+    """Part sizes equal to their multiplicity, summed over every partition of n
+    by a scan of its runs: the per-partition loop the pair walk replaced."""
+    total = 0
+    for parts in iter_partition_tuples(n):
+        i = 0
+        t = len(parts)
+        while i < t:
+            j = i
+            while j < t and parts[j] == parts[i]:
+                j += 1
+            if parts[i] == j - i:
+                total += 1
+            i = j
+    return total
+
+
+def test_parts_eq_mult_matches_the_per_partition_loop():
+    table = count_parts_eq_mult(40)
+    assert table.values == {n: _per_partition_parts_eq_mult(n) for n in range(41)}
 
 
 def _package_imports(path: Path) -> set[str]:

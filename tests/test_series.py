@@ -19,6 +19,7 @@ from hooklab import (
     gf_generalized_mex,
     gf_h_fixed_hook_k,
     gf_h_fixed_part_k,
+    gf_hook_k_all_h,
     gf_ones_exact,
     gf_ones_shifted,
     inv_finite_pochhammer,
@@ -248,6 +249,14 @@ class TestFixedHookSeries:
                 break
             total = total + gf_M_k(l, N + c2).shift(-c2)
         assert total.coefficients(0, N) == gf_all_h_fixed(-1, N).coefficients(0, N)
+
+    def test_hook_k_all_h_is_theorem_43(self):
+        # the h-sum of the hook-k series is the first-column series (Theorem 4.3)
+        for k in range(1, 8):
+            for order in (0, 1, 5, 17, 60, 200):
+                assert gf_hook_k_all_h(k, order) == gf_first_column_k_hooks(k, order), (k, order)
+        with pytest.raises(ValueError, match="hook size must be >= 1, got 0"):
+            gf_hook_k_all_h(0, 10)
 
     def test_first_column_hooks_k1(self):
         gf = gf_first_column_k_hooks(1, 20)
@@ -713,6 +722,29 @@ class TestKernelDifferential:
     def test_same_series_or_error_as_the_carried_sums(self, order):
         for new, old, args in _carried_grid(order):
             assert _outcome(new, *args) == _outcome(old, *args), (new.__name__, args)
+
+
+# -- the per-h sum that gf_hook_k_all_h replaced in verify thm4.3 -------------
+
+def _per_h_hook_k_all_h(k, order):
+    # gf_h_fixed_hook_k(h, k) for h = k-1 down to the last h whose minimal
+    # exponent k + (k - h - 1) is within the order, each added into a list
+    # anchored at q^0
+    total = [0] * (order + 1)
+    h = k - 1
+    while k + (k - h - 1) <= order:
+        s = gf_h_fixed_hook_k(h, k, order)
+        end = s.offset + len(s.coeffs)
+        total[s.offset : end] = map(operator.add, total[s.offset : end], s.coeffs)
+        h -= 1
+    return Series.make(total, order)
+
+
+class TestHSumDifferential:
+    @pytest.mark.parametrize("order", [*range(0, 41), 97, 250])
+    def test_same_series_or_error_as_the_per_h_sum(self, order):
+        for k in range(0, 8):
+            assert _outcome(gf_hook_k_all_h, k, order) == _outcome(_per_h_hook_k_all_h, k, order), k
 
 
 # -- the schoolbook product that Kronecker substitution replaced -------------

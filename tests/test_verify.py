@@ -38,7 +38,7 @@ SIDES = [
     ("thm4.2", series, "gf_h_fixed_part_k"),
     ("thm4.3", oracle, "count_first_column_k_hooks"),
     ("thm4.3", series, "gf_first_column_k_hooks"),
-    ("thm4.3", series, "gf_h_fixed_hook_k"),
+    ("thm4.3", series, "gf_hook_k_all_h"),
     ("pentagonal-truncation", oracle, "count_mex_class"),
     ("pentagonal-truncation", series, "truncated_pentagonal"),
 ]
@@ -118,10 +118,9 @@ class TestReports:
         assert not data["ok"]
         assert data["cells"][0]["first_divergence"] == {"n": 1, "expected": 0, "actual": 1}
 
-    @pytest.mark.parametrize("theorem, name", [("thm4.2", "gf_h_fixed_part_k"),
-                                               ("thm4.3", "gf_h_fixed_hook_k")])
+    @pytest.mark.parametrize("theorem, name", [("thm4.2", "gf_h_fixed_part_k")])
     def test_resummed_term_below_q0_raises(self, monkeypatch, theorem, name):
-        # the resummations add their terms into a list anchored at q^0
+        # the part-size resummation adds its terms into a list anchored at q^0
         term = getattr(series, name)
         monkeypatch.setattr(series, name,
                             lambda *args: term(*args) + Series.monomial(-1, args[-1]))
