@@ -40,7 +40,11 @@ def _require(args: argparse.Namespace, names: tuple[str, ...], context: str) -> 
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:
-    verify.check_bounds("nmax", verify.MAX_SEQ_NMAX, nmax=args.nmax, start=args.start)
+    if args.start is not None and args.format != "bfile":
+        raise ValueError(f"seq --format {args.format} does not take --start "
+                         f"(only --format bfile does)")
+    start = 1 if args.start is None else args.start
+    verify.check_bounds("nmax", verify.MAX_SEQ_NMAX, nmax=args.nmax, start=start)
     stat = verify.STATISTICS[args.statistic]
     verify.check_axes(f"seq {args.statistic}", stat.params, h=args.h, k=args.k)
     _require(args, stat.params, f"seq {args.statistic}")
@@ -53,7 +57,7 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     elif args.format == "json":
         sys.stdout.write(json.dumps(table.to_json_dict(), indent=2) + "\n")
     else:
-        sys.stdout.write(table.to_bfile(start=args.start))
+        sys.stdout.write(table.to_bfile(start=start))
     return 0
 
 
@@ -138,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("--k", type=int, default=None)
     p_seq.add_argument("--nmax", type=int, default=verify.DEFAULT_NMAX)
     p_seq.add_argument("--format", choices=("csv", "json", "bfile"), default="csv")
-    p_seq.add_argument("--start", type=int, default=1, help="first index in b-file output")
+    p_seq.add_argument("--start", type=int, default=None,
+                       help="first index in b-file output (default 1)")
     p_seq.set_defaults(func=_cmd_seq)
 
     p_bij = sub.add_parser("bijection", help="apply a bijection and print its trace")

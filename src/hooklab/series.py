@@ -144,6 +144,18 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...], length: int) -> list[int]
 
 # -- the product kernel on dense coefficient lists anchored at exponent 0 ----
 
+def _divide(dense: list[int], b: int, start: int = 0) -> None:
+    # divide dense[start:], a series from q^start, in place by 1 - q^b (b >= 1):
+    # a running sum along each residue class mod b, or by blocks of b
+    n = len(dense)
+    if b * b < n - start:
+        for r in range(start, start + b):
+            dense[r::b] = itertools.accumulate(dense[r::b])
+    else:
+        for i in range(start + b, n, b):
+            dense[i : i + b] = map(operator.add, dense[i : i + b], dense[i - b : i])
+
+
 def _scale(dense: list[int], ups=(), downs=()) -> None:
     # multiply in place by prod(1 - q^a) / prod(1 - q^b) over a in ups, b in
     # downs (all >= 1); a factor with its exponent past the end is 1 there
@@ -152,13 +164,7 @@ def _scale(dense: list[int], ups=(), downs=()) -> None:
         if a < n:
             dense[a:] = map(operator.sub, dense[a:], dense[: n - a])
     for b in downs:
-        # a running sum along each residue class mod b, or by blocks of b
-        if b * b < n:
-            for r in range(b):
-                dense[r::b] = itertools.accumulate(dense[r::b])
-        else:
-            for i in range(b, n, b):
-                dense[i : i + b] = map(operator.add, dense[i : i + b], dense[i - b : i])
+        _divide(dense, b)
 
 
 def _ratio(length: int, ups=(), downs=()) -> list[int]:
@@ -166,6 +172,16 @@ def _ratio(length: int, ups=(), downs=()) -> list[int]:
     dense = [1] + [0] * (length - 1)
     _scale(dense, ups, downs)
     return dense
+
+
+def _over_tail(poly: list[int], a: int) -> tuple[int, ...]:
+    # poly / (q^a; q)_inf on q^0 .. q^(len(poly)-1), len(poly) >= 1 and a >= 1:
+    # poly times (q; q)_(a-1), in place, times sum p(n) q^n read from the memo
+    # of partition_numbers. The ups stop at the list's end, where each is 1
+    n = len(poly)
+    _scale(poly, ups=range(1, min(a, n)))
+    tail = Series.make(poly, n - 1) * Series.make(partition_numbers(n - 1), n - 1)
+    return tail.coefficients(0, n - 1)
 
 
 def _nested_sum(base: int, order: int, terms) -> list[int]:
@@ -179,9 +195,7 @@ def _nested_sum(base: int, order: int, terms) -> list[int]:
     low = len(total)  # total is zero below q^(base + low)
     for e, poly, b in terms:
         if b:
-            tail = total[low:]
-            _scale(tail, downs=(b,))
-            total[low:] = tail
+            _divide(total, b, low)
         e -= base
         total[e : e + len(poly)] = map(operator.add, total[e : e + len(poly)], poly)
         low = min(low, e)
@@ -222,7 +236,12 @@ def _hook_terms(k: int, d: int, order: int, divisor: int = 0):
 
 
 def inv_pochhammer_tail(a: int, order: int) -> Series:
-    """1/(q^a; q)_inf: partitions with all parts >= a."""
+    """1/(q^a; q)_inf: partitions with all parts >= a.
+
+    Built as a chain of divisions, never from partition_numbers: it is the
+    product side of Euler's identity, which is checked against the pentagonal
+    series that the recurrence for p(n) comes from.
+    """
     if a < 1:
         raise ValueError(f"smallest part must be >= 1, got {a}")
     return Series.make(_ratio(order + 1, downs=range(a, order + 1)), order)
@@ -270,7 +289,10 @@ def gf_fixed_hooks_double_sum(order: int) -> Series:
 
 
 def gf_fixed_hooks_simplified(order: int) -> Series:
-    """Partitions with a 0-fixed hook: sum_T q^((T+1)^2) (1 - q^(T+1)) / (q)_inf."""
+    """Partitions with a 0-fixed hook: sum_T q^((T+1)^2) (1 - q^(T+1)) / (q)_inf.
+
+    The sparse polynomial in T times p(n), read from partition_numbers.
+    """
     poly = [0] * (order + 1)
     for t in itertools.count(0):
         square = (t + 1) * (t + 1)
@@ -279,8 +301,7 @@ def gf_fixed_hooks_simplified(order: int) -> Series:
         poly[square] += 1
         if square + t + 1 <= order:
             poly[square + t + 1] -= 1
-    _scale(poly, downs=range(1, order + 1))
-    return Series.make(poly, order)
+    return Series.make(_over_tail(poly, 1), order)
 
 
 def gf_fixed_hooks(order: int) -> Series:
@@ -325,12 +346,13 @@ def gf_ones_shifted(h: int, order: int) -> Series:
     """q^(h+1) ( 1/(q^2; q)_inf - sum_{m=0}^{-h-1} q^(2m)/(q)_m ), any integer h.
 
     The correction sum is empty for h >= 0.  Equals gf_h_fixed_part_k(h, 1).
+    1/(q^2; q)_inf is (1 - q) times p(n), read from partition_numbers.
     """
     inner_order = order - (h + 1)
     # minus sum_m q^(2m)/(q)_m from the last m with 2m <= inner_order down, then 1/(q^2; q)_inf
     last = min(-h - 1, inner_order // 2)
     terms = itertools.chain(((2 * m, [-1], m + 1) for m in range(last, -1, -1)),
-                            [(0, _ratio(inner_order + 1, downs=range(2, inner_order + 1)), 0)])
+                            [(0, _over_tail([1] + [0] * inner_order, 2), 0)])
     return Series.make(_nested_sum(0, inner_order, terms), order, offset=h + 1)
 
 
@@ -415,7 +437,9 @@ def gf_all_h_fixed(h: int, order: int) -> Series:
 def gf_first_column_k_hooks(k: int, order: int) -> Series:
     """Total number of first-column hooks equal to k over all partitions of n.
 
-    q^k / (q^k; q)_inf * sum_{l=1}^{k} 1/(q)_{k-l}.
+    q^k / (q^k; q)_inf * sum_{l=1}^{k} 1/(q)_{k-l}.  The sum times (q; q)_{k-1}
+    is a polynomial of degree at most C(k,2), which is multiplied by p(n), read
+    from partition_numbers.
     """
     if k < 1:
         raise ValueError(f"hook size must be >= 1, got {k}")
@@ -424,8 +448,7 @@ def gf_first_column_k_hooks(k: int, order: int) -> Series:
     inner_order = order - k
     # sum_{m<k} 1/(q)_m from m = k - 1 down, then 1/(q^k; q)_inf
     dense = _nested_sum(0, inner_order, ((0, [1], m + 1) for m in range(k - 1, -1, -1)))
-    _scale(dense, downs=range(k, inner_order + 1))
-    return Series.make(dense, order, offset=k)
+    return Series.make(_over_tail(dense, k), order, offset=k)
 
 
 # -- pentagonal number machinery ---------------------------------------------

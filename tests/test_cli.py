@@ -141,6 +141,13 @@ class TestSeqCommand:
     def test_parameter_the_statistic_does_not_take(self, capsys, argv, message):
         assert run(capsys, "seq", *argv, "--nmax", "5") == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_start_only_with_bfile(self, capsys, fmt):
+        message = f"seq --format {fmt} does not take --start (only --format bfile does)"
+        for start in ("9", "1", "0"):
+            argv = ("seq", "partition-numbers", "--nmax", "12", "--format", fmt, "--start", start)
+            assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_deterministic_output(self, capsys):
         first = run(capsys, "seq", "fixed-hooks", "--h", "1", "--nmax", "12")
         second = run(capsys, "seq", "fixed-hooks", "--h", "1", "--nmax", "12")

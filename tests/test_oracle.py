@@ -413,6 +413,6 @@ def test_oracle_never_imports_series():
 def test_package_has_no_assert_statements():
     """Invariants are checks that raise: python -O strips assert statements."""
     root = Path(hooklab.__file__).parent
-    found = [f"{path.name}:{node.lineno}" for path in sorted(root.glob("*.py"))
+    found = [f"{path.relative_to(root)}:{node.lineno}" for path in sorted(root.rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
     assert not found, found

@@ -867,3 +867,53 @@ class TestReadDifferential:
             if isinstance(got, list):  # a caller's edit must not reach a later answer
                 got.reverse()
                 got.append(-1)
+
+
+# -- the division chains that the p(n) memo replaced in the closed forms -------
+
+def _tail_grid():
+    """(new, old, args before the order): the constructors that read p(n)."""
+    yield gf_fixed_hooks_simplified, _old_gf_fixed_hooks_simplified, ()
+    for k in range(0, 8):
+        yield gf_first_column_k_hooks, _old_gf_first_column_k_hooks, (k,)
+    for h in range(-7, 7):
+        yield gf_ones_shifted, _old_gf_ones_shifted, (h,)
+
+
+class TestTailDifferential:
+    ORDERS = [*range(0, 41), 97, 250, 1000]
+
+    def test_same_series_or_error_as_the_division_chains(self, monkeypatch):
+        expected = {(new, args, order): _outcome(old, *args, order)
+                    for order in self.ORDERS for new, old, args in _tail_grid()}
+        # from the highest order down the memo grows once and is then read as a
+        # prefix; from the lowest up it grows at every order
+        for orders in (self.ORDERS[::-1], self.ORDERS):
+            monkeypatch.setattr(series, "_P", [1])
+            for order in orders:
+                for new, _, args in _tail_grid():
+                    assert _outcome(new, *args, order) == expected[new, args, order], \
+                        (new.__name__, args, order)
+            # no constructor wrote into the memo
+            assert series._P == list(_cached_partition_numbers(len(series._P) - 1))
+
+
+class TestEulerIndependence:
+    # pentagonal_series(N) * inv_pochhammer_tail(1, N) == 1 is Euler's identity,
+    # checked here and by criterion 7. partition_numbers derives p(n) from the
+    # pentagonal numbers, so a product side read from it would make the identity
+    # hold by construction: the closed forms read p(n), the product side divides
+    @pytest.mark.parametrize("memo", ["partition_numbers", "_P"])
+    def test_only_the_closed_forms_read_p(self, monkeypatch, memo):
+        closed_forms = [gf_fixed_hooks_simplified(N), gf_first_column_k_hooks(2, N),
+                        gf_ones_shifted(0, N)]
+        wrong_p = partition_numbers(N)
+        wrong_p[7] += 1
+        if memo == "_P":  # the memo itself, read directly or through partition_numbers
+            monkeypatch.setattr(series, "_P", wrong_p)
+        else:
+            monkeypatch.setattr(series, "partition_numbers", lambda n: wrong_p[: n + 1])
+        assert pentagonal_series(N) * inv_pochhammer_tail(1, N) == Series.one(N)
+        wrong = [gf_fixed_hooks_simplified(N), gf_first_column_k_hooks(2, N),
+                 gf_ones_shifted(0, N)]
+        assert all(a != b for a, b in zip(wrong, closed_forms))
