@@ -14,15 +14,12 @@ from .series import (
     TruncationError,
     gf_all_h_fixed,
     gf_first_column_k_hooks,
-    gf_fixed_hooks,
     gf_fixed_hooks_double_sum,
     gf_fixed_hooks_simplified,
-    gf_generalized_mex,
     gf_h_fixed_hook_k,
     gf_h_fixed_part_k,
     gf_hook_k_all_h,
     gf_M_k,
-    gf_ones_exact,
     gf_ones_shifted,
     inv_finite_pochhammer,
     inv_pochhammer_tail,
@@ -80,14 +77,11 @@ __all__ = [
     "gf_M_k",
     "gf_all_h_fixed",
     "gf_first_column_k_hooks",
-    "gf_fixed_hooks",
     "gf_fixed_hooks_double_sum",
     "gf_fixed_hooks_simplified",
-    "gf_generalized_mex",
     "gf_h_fixed_hook_k",
     "gf_h_fixed_part_k",
     "gf_hook_k_all_h",
-    "gf_ones_exact",
     "gf_ones_shifted",
     "inv_finite_pochhammer",
     "inv_pochhammer_tail",

@@ -304,15 +304,11 @@ def gf_fixed_hooks_simplified(order: int) -> Series:
     return Series.make(_over_tail(poly, 1), order)
 
 
-def gf_fixed_hooks(order: int) -> Series:
-    """Partitions with a 0-fixed hook: alias of gf_fixed_hooks_simplified (thm2.1 checks both)."""
-    return gf_fixed_hooks_simplified(order)
-
-
 def gf_h_fixed_part_k(h: int, k: int, order: int) -> Series:
     """Partitions with an h-fixed hook whose part at the hook position is k.
 
     sum_{s >= max(k-h, 1)} q^((k+1)(s-1) + h + 1) [s+h-1 over k-1]_q / (q)_{s-1}.
+    Theorem 3.5's Laurent form, q^(h+1-C(k,2)) times q^((k+1)(s-1) + C(k,2)) per term, is this.
     """
     if k < 1:
         raise ValueError(f"part size must be >= 1, got {k}")
@@ -330,22 +326,11 @@ def gf_h_fixed_part_k(h: int, k: int, order: int) -> Series:
     return Series.make(dense, order, offset=base)
 
 
-def gf_ones_exact(h: int, order: int) -> Series:
-    """Partitions counted by "1 appears exactly h+1 times": q^(h+1)/(q^2; q)_inf.
-
-    Only valid for h >= -1; at h = -1 the constant term is removed (the
-    empty partition has no -1-fixed hook although 1 appears zero times in it).
-    """
-    if h < -1:
-        raise ValueError(f"the exact-ones form needs h >= -1, got {h}")
-    # for h >= -1 this is Theorem 3.4: its correction sum is empty, or the 1 removed at h = -1
-    return gf_ones_shifted(h, order)
-
-
 def gf_ones_shifted(h: int, order: int) -> Series:
     """q^(h+1) ( 1/(q^2; q)_inf - sum_{m=0}^{-h-1} q^(2m)/(q)_m ), any integer h.
 
     The correction sum is empty for h >= 0.  Equals gf_h_fixed_part_k(h, 1).
+    For h >= -1 this is Theorem 3.3's q^(h+1)/(q^2; q)_inf, less its constant 1 at h = -1.
     1/(q^2; q)_inf is (1 - q) times p(n), read from partition_numbers.
     """
     inner_order = order - (h + 1)
@@ -371,17 +356,6 @@ def gf_M_k(k: int, order: int) -> Series:
     dense = _nested_sum(base, order, zip(exponents, binomials, (n + 1 for n in indices)))
     _scale(dense, downs=range(1, k + 1))  # 1/(q)_k, shared by every term
     return Series.make(dense, order, offset=base)
-
-
-def gf_generalized_mex(h: int, k: int, order: int) -> Series:
-    """Laurent-prefactor form of the h-fixed-hook-at-part-k generating function.
-
-    q^(h+1-C(k,2)) sum_{s >= max(k-h,1)} q^((k+1)(s-1) + C(k,2)) [s+h-1 over k-1]_q / (q)_{s-1};
-    the Laurent prefactor exponent may be negative.  At h = -1 this is
-    q^(-C(k,2)) M_k(q).  The exponents add up to (k+1)(s-1) + h + 1, so this
-    is exactly :func:`gf_h_fixed_part_k`.
-    """
-    return gf_h_fixed_part_k(h, k, order)
 
 
 def gf_h_fixed_hook_k(h: int, k: int, order: int) -> Series:

@@ -201,12 +201,16 @@ def _verify_statistic(name: str, nmax: int, order: int, h, k) -> Iterator[Cell]:
 
 def _verify_thm21(nmax: int, order: int, h, k) -> Iterator[Cell]:
     hooks = oracle.count_fixed_hooks(0, nmax).values
+    double_sum = _series_values(series.gf_fixed_hooks_double_sum(order), order)
+    simplified = _series_values(series.gf_fixed_hooks_simplified(order), order)
     others = (
         ("parts-eq-mult", oracle.count_parts_eq_mult(nmax).values),
-        ("double-sum", _series_values(series.gf_fixed_hooks_double_sum(order), nmax)),
-        ("simplified", _series_values(series.gf_fixed_hooks_simplified(order), nmax)),
+        ("double-sum", double_sum),
+        ("simplified", simplified),
     )
     checks = [(hooks, [other], f"vs {name}") for name, other in others]
+    # the two closed forms are both exact up to the order, past the oracle's nmax
+    checks.append((double_sum, [simplified], "double-sum vs simplified through the order"))
     yield {}, checks, "oracle = parts-eq-mult = both series forms"
 
 
@@ -233,7 +237,7 @@ def _verify_thm33(nmax: int, order: int, h, k) -> Iterator[Cell]:
     for hv in hs:
         hooks = oracle.count_h_fixed_by_part(hv, 1, nmax).values
         ones = oracle.count_ones_exact(hv, nmax).values
-        coeffs = _series_values(series.gf_ones_exact(hv, order), nmax)
+        coeffs = _series_values(series.gf_ones_shifted(hv, order), nmax)
         if hv == -1:
             # Stated exception: at n=0 the empty partition has zero 1s
             # but no -1-fixed hook; the series already drops that term.
@@ -266,7 +270,7 @@ def _verify_thm35(nmax: int, order: int, h, k) -> Iterator[Cell]:
         hooks = oracle.count_h_fixed_by_part(hv, kv, nmax).values
         mexes = oracle.count_generalized_mex(hv, kv, nmax + max(shift, 0)).values
         shifted = {n: (mexes[n + shift] if n + shift >= 0 else 0) for n in range(nmax + 1)}
-        coeffs = _series_values(series.gf_generalized_mex(hv, kv, order), nmax)
+        coeffs = _series_values(series.gf_h_fixed_part_k(hv, kv, order), nmax)
         yield {"h": hv, "k": kv}, [(hooks, [shifted, coeffs], "")], ""
 
 
@@ -284,12 +288,12 @@ def _verify_thm42(nmax: int, order: int, h, k) -> Iterator[Cell]:
     note = "includes part-size resummation"
     for hv in _axis("h", h):
         counts = oracle.count_fixed_hooks(hv, nmax).values
-        coeffs = _series_values(series.gf_all_h_fixed(hv, order), nmax)
-        # aggregation: the part-size refinement resums to the same series
+        coeffs = _series_values(series.gf_all_h_fixed(hv, order), order)
+        # aggregation: the part-size refinement resums to the same series, through the order
         total = [0] * (order + 1)
         for kv in range(1, order + 1):
             _add_into(total, series.gf_h_fixed_part_k(hv, kv, order))
-        checks = [(counts, [coeffs], ""), (counts, [dict(enumerate(total))], note)]
+        checks = [(counts, [coeffs], ""), (coeffs, [dict(enumerate(total))], note)]
         yield {"h": hv}, checks, note
 
 

@@ -416,3 +416,15 @@ def test_package_has_no_assert_statements():
     found = [f"{path.relative_to(root)}:{node.lineno}" for path in sorted(root.rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_all_is_exactly_what_the_package_imports():
+    """__all__ lists each name that __init__'s `from .x import` statements bind, once,
+    and nothing else, and each resolves on the package."""
+    tree = ast.parse(Path(hooklab.__file__).read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+    exported = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign) and node.targets[0].id == "__all__")
+    assert sorted(exported) == sorted(imported)
+    assert [name for name in exported if not hasattr(hooklab, name)] == []

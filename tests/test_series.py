@@ -13,14 +13,11 @@ from hooklab import (
     gf_M_k,
     gf_all_h_fixed,
     gf_first_column_k_hooks,
-    gf_fixed_hooks,
     gf_fixed_hooks_double_sum,
     gf_fixed_hooks_simplified,
-    gf_generalized_mex,
     gf_h_fixed_hook_k,
     gf_h_fixed_part_k,
     gf_hook_k_all_h,
-    gf_ones_exact,
     gf_ones_shifted,
     inv_finite_pochhammer,
     inv_pochhammer_tail,
@@ -182,7 +179,7 @@ class TestFixedHookSeries:
         assert gf_fixed_hooks_double_sum(N) == gf_fixed_hooks_simplified(N)
 
     def test_known_coefficients(self):
-        gf = gf_fixed_hooks(40)
+        gf = gf_fixed_hooks_simplified(40)
         assert gf.coeff(0) == 0
         assert gf.coefficients(1, 5) == (1, 0, 1, 2, 3)
         assert gf.coeff(9) == 12
@@ -206,7 +203,7 @@ class TestFixedHookSeries:
         total = Series.zero(40)
         for k in range(1, 41):
             total = total + gf_h_fixed_part_k(0, k, 40)
-        assert total == gf_fixed_hooks(40)
+        assert total == gf_fixed_hooks_simplified(40)
 
     def test_forms_agree_at_order_300(self):
         simplified = gf_fixed_hooks_simplified(300)
@@ -233,7 +230,7 @@ class TestFixedHookSeries:
             assert [gf.coeff(n) for n in range(21)] == [table[n] for n in range(21)]
 
     def test_all_h_fixed_matches_fixed_hooks(self):
-        assert gf_all_h_fixed(0, 40) == gf_fixed_hooks(40)
+        assert gf_all_h_fixed(0, 40) == gf_fixed_hooks_simplified(40)
 
     def test_all_h_fixed_vanishing(self):
         gf = gf_all_h_fixed(-8, 30)
@@ -268,24 +265,14 @@ class TestFixedHookSeries:
 
 class TestOnesSeries:
     def test_exact_examples(self):
-        assert gf_ones_exact(0, 10).coeff(4) == 1  # only (3,1)
-        assert gf_ones_exact(-1, 10).coeff(0) == 0
-        assert gf_ones_exact(1, 10).coeff(2) == 1  # (1,1)
-        with pytest.raises(ValueError, match="h >= -1"):
-            gf_ones_exact(-2, 10)
-
-    def test_exact_matches_part_one(self):
-        for h, order in itertools.product(range(-1, 7), range(41)):
-            assert gf_ones_exact(h, order) == gf_h_fixed_part_k(h, 1, order), (h, order)
+        # Theorem 3.3's exact-ones form, h >= -1
+        assert gf_ones_shifted(0, 10).coeff(4) == 1  # only (3,1)
+        assert gf_ones_shifted(-1, 10).coeff(0) == 0
+        assert gf_ones_shifted(1, 10).coeff(2) == 1  # (1,1)
 
     def test_shifted_matches_part_one_all_h(self):
         for h, order in itertools.product(range(-7, 7), range(41)):
             assert gf_ones_shifted(h, order) == gf_h_fixed_part_k(h, 1, order), (h, order)
-
-    def test_shifted_equals_exact_at_minus_one(self):
-        a = gf_ones_shifted(-1, 30)
-        b = gf_ones_exact(-1, 30)
-        assert a == b
 
     def test_shifted_h_minus_two_spot(self):
         # partitions of n+2 with >= 3 parts and exactly one 1; n = 3 gives (2,2,1) only
@@ -302,23 +289,15 @@ class TestMexSeries:
         for n in range(1, 21):
             assert gf.coeff(n) == p[n] - p[n - 1]
 
-    def test_generalized_equals_part_form(self):
-        for h in range(-3, 3):
-            for k in range(1, 5):
-                assert gf_generalized_mex(h, k, 40) == gf_h_fixed_part_k(h, k, 40)
-
     def test_minus_one_is_shifted_M(self):
         for k in range(1, 6):
             c2 = k * (k - 1) // 2
             shifted = gf_M_k(k, N + c2).shift(-c2)
-            assert gf_generalized_mex(-1, k, N).coefficients(0, N) == shifted.coefficients(0, N)
-
-    def test_k1_has_no_padding(self):
-        assert gf_generalized_mex(2, 1, 20) == gf_h_fixed_part_k(2, 1, 20)
+            assert gf_h_fixed_part_k(-1, k, N).coefficients(0, N) == shifted.coefficients(0, N)
 
     def test_generalized_matches_oracle_at_shift(self):
         h, k = 0, 1
-        gf = gf_generalized_mex(h, k, 20)
+        gf = gf_h_fixed_part_k(h, k, 20)
         table = count_generalized_mex(h, k, 20)
         # coefficient at q^n counts partitions of n + C(k,2) - (h+1) in the class
         assert gf.coeff(4) == table[3] == 1
@@ -370,7 +349,7 @@ class TestPentagonal:
 class TestNonnegativity:
     def test_counting_series_have_nonnegative_coefficients(self):
         candidates = [
-            gf_fixed_hooks(40),
+            gf_fixed_hooks_simplified(40),
             gf_first_column_k_hooks(3, 40),
             gf_M_k(2, 40),
             gf_all_h_fixed(-2, 40),
@@ -578,7 +557,8 @@ def _kernel_grid(order):
         yield gf_M_k, _old_gf_M_k, (k, order)
         yield gf_first_column_k_hooks, _old_gf_first_column_k_hooks, (k, order)
     for h in hs:
-        yield gf_ones_exact, _old_gf_ones_exact, (h, order)
+        if h >= -1:  # Theorem 3.3's exact-ones form
+            yield gf_ones_shifted, _old_gf_ones_exact, (h, order)
         yield gf_ones_shifted, _old_gf_ones_shifted, (h, order)
         yield gf_all_h_fixed, _old_gf_all_h_fixed, (h, order)
         for k in ks:
@@ -704,7 +684,8 @@ def _carried_grid(order):
         yield gf_M_k, _carried_gf_M_k, (k, order)
         yield gf_first_column_k_hooks, _carried_gf_first_column_k_hooks, (k, order)
     for h in hs:
-        yield gf_ones_exact, _carried_gf_ones_exact, (h, order)
+        if h >= -1:
+            yield gf_ones_shifted, _carried_gf_ones_exact, (h, order)
         yield gf_ones_shifted, _carried_gf_ones_shifted, (h, order)
         yield gf_all_h_fixed, _carried_gf_all_h_fixed, (h, order)
         for k in ks:

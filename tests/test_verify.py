@@ -21,13 +21,13 @@ SIDES = [
     ("thm3.2", series, "gf_h_fixed_part_k"),
     ("thm3.3", oracle, "count_h_fixed_by_part"),
     ("thm3.3", oracle, "count_ones_exact"),
-    ("thm3.3", series, "gf_ones_exact"),
+    ("thm3.3", series, "gf_ones_shifted"),
     ("thm3.4", oracle, "count_h_fixed_by_part"),
     ("thm3.4", oracle, "count_ones_shifted"),
     ("thm3.4", series, "gf_ones_shifted"),
     ("thm3.5", oracle, "count_h_fixed_by_part"),
     ("thm3.5", oracle, "count_generalized_mex"),
-    ("thm3.5", series, "gf_generalized_mex"),
+    ("thm3.5", series, "gf_h_fixed_part_k"),
     ("cor3.6", oracle, "count_mex_class"),
     ("cor3.6", oracle, "count_h_fixed_by_part"),
     ("cor3.6", series, "gf_M_k"),
@@ -126,6 +126,21 @@ class TestReports:
                             lambda *args: term(*args) + Series.monomial(-1, args[-1]))
         with pytest.raises(InvariantError, match="starts at q\\^-1, below q\\^0"):
             verify_theorem(theorem, nmax=8, order=16)
+
+    @pytest.mark.parametrize("theorem, name", [
+        ("thm2.1", "gf_fixed_hooks_double_sum"),
+        ("thm2.1", "gf_fixed_hooks_simplified"),
+        ("thm4.2", "gf_h_fixed_part_k"),
+        ("thm4.3", "gf_hook_k_all_h"),
+    ])
+    def test_series_identities_are_compared_through_the_order(self, monkeypatch, theorem, name):
+        # both sides of a series identity are exact up to the order, so one
+        # wrong coefficient above nmax is a mismatch in every cell, found there
+        nmax, order = 8, 16
+        monkeypatch.setattr(series, name, _off_by_one_at(nmax + 1, getattr(series, name)))
+        report = verify_theorem(theorem, nmax=nmax, order=order)
+        found = [cell.first_divergence and cell.first_divergence[0] for cell in report.cells]
+        assert found == [nmax + 1] * len(report.cells)
 
     def test_every_side_has_a_pinned_mismatch(self):
         pinned = [(case["argv"], case["side"], case["n"]) for case in MISMATCHES]
