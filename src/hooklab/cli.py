@@ -14,7 +14,7 @@ import functools
 import json
 import sys
 
-from . import bijections, oracle, verify
+from . import bijections, verify
 from .partitions import InvariantError, Partition
 
 # the largest round weight at which `bijection B --direction inverse --input
@@ -51,13 +51,13 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     point = {name: getattr(args, name) for name in stat.params}
     # every constructor is exact up to its order, so order nmax gives the same values
     values = stat.series_values(point, args.nmax, args.nmax)
-    table = oracle.CountTable(args.statistic, point, values)
     if args.format == "csv":
-        sys.stdout.write(table.to_csv())
+        sys.stdout.write("n,count\n" + "".join(f"{n},{c}\n" for n, c in values.items()))
     elif args.format == "json":
-        sys.stdout.write(json.dumps(table.to_json_dict(), indent=2) + "\n")
+        data = {"statistic": args.statistic, "params": point, "values": values}
+        sys.stdout.write(json.dumps(data, indent=2) + "\n")  # the keys n print as strings
     else:
-        sys.stdout.write(table.to_bfile(start=start))
+        sys.stdout.write("".join(f"{n} {values[n]}\n" for n in range(start, args.nmax + 1)))
     return 0
 
 

@@ -27,7 +27,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .partitions import check_weight, iter_partition_tuples
@@ -43,37 +43,16 @@ def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
 class CountTable:
     """Exact counts of one statistic, for every n in a contiguous range."""
 
-    statistic: str
-    params: dict[str, int]
-    values: dict[int, int] = field(default_factory=dict)
+    values: dict[int, int]
 
     def __getitem__(self, n: int) -> int:
         return self.values[n]
 
-    def items(self):
-        return sorted(self.values.items())
 
-    def to_csv(self) -> str:
-        lines = ["n,count"]
-        lines += [f"{n},{c}" for n, c in self.items()]
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "params": dict(self.params),
-            "values": {str(n): c for n, c in self.items()},
-        }
-
-    def to_bfile(self, start: int = 1) -> str:
-        return "".join(f"{n} {c}\n" for n, c in self.items() if n >= start)
-
-
-def _table(statistic: str, params: dict[str, int], n_max: int,
-           count_one: Callable[[int], int], top: int | None = None) -> CountTable:
+def _table(n_max: int, count_one: Callable[[int], int], top: int | None = None) -> CountTable:
     # top is the largest weight count_one enumerates; it is checked before any is.
     check_weight(max(n_max if top is None else top, 0))
-    return CountTable(statistic, params, {n: count_one(n) for n in range(n_max + 1)})
+    return CountTable({n: count_one(n) for n in range(n_max + 1)})
 
 
 def _in_box(n: int, rows: int, cols: int) -> int:
@@ -200,23 +179,21 @@ def _first_column_census(n: int) -> Counter:
         map(operator.add, parts, range(len(parts) - 1, -1, -1)) for parts in partitions_of(n)))
 
 
-def _fixed_hook_table(statistic: str, params: dict[str, int], h: int, n_max: int,
-                      keep: Callable[[int, int, int], bool]) -> CountTable:
+def _fixed_hook_table(h: int, n_max: int, keep: Callable[[int, int, int], bool]) -> CountTable:
     """Partitions of n whose h-fixed hook (position, hook, part) passes keep."""
-    return _table(statistic, params, n_max,
+    return _table(n_max,
                   lambda n: sum(c for hit, c in _fixed_hook_census(h, n).items() if keep(*hit)))
 
 
-def _mex_table(statistic: str, params: dict[str, int], h: int, k: int,
-               n_max: int) -> CountTable:
+def _mex_table(h: int, k: int, n_max: int) -> CountTable:
     """Partitions of n with mex k where h + 1 + #parts>k exceeds #parts<k."""
-    return _table(statistic, params, n_max,
+    return _table(n_max,
                   lambda n: sum(c for diff, c in _mex_census(k, n).items() if diff < h + 1))
 
 
 def count_fixed_hooks(h: int, n_max: int) -> CountTable:
     """Partitions of n possessing an h-fixed hook (f(n) when h = 0)."""
-    return _fixed_hook_table("fixed-hooks", {"h": h}, h, n_max, lambda s, hook, part: True)
+    return _fixed_hook_table(h, n_max, lambda s, hook, part: True)
 
 
 def count_parts_eq_mult(n_max: int) -> CountTable:
@@ -240,19 +217,17 @@ def count_parts_eq_mult(n_max: int) -> CountTable:
             total += sum(sum(_lengths_from(room - weight, i + 1).values()) for weight in lower)
         return total
 
-    return _table("parts-eq-mult", {}, n_max, one)
+    return _table(n_max, one)
 
 
 def count_h_fixed_by_part(h: int, k: int, n_max: int) -> CountTable:
     """Partitions of n whose h-fixed hook sits at a part of size k."""
-    return _fixed_hook_table("fixed-hooks-by-part", {"h": h, "k": k}, h, n_max,
-                             lambda s, hook, part: part == k)
+    return _fixed_hook_table(h, n_max, lambda s, hook, part: part == k)
 
 
 def count_h_fixed_by_hook(h: int, k: int, n_max: int) -> CountTable:
     """Partitions of n whose h-fixed hook has hook length exactly k."""
-    return _fixed_hook_table("fixed-hooks-by-hook", {"h": h, "k": k}, h, n_max,
-                             lambda s, hook, part: hook == k)
+    return _fixed_hook_table(h, n_max, lambda s, hook, part: hook == k)
 
 
 def count_first_column_k_hooks(k: int, n_max: int) -> CountTable:
@@ -261,8 +236,7 @@ def count_first_column_k_hooks(k: int, n_max: int) -> CountTable:
     First-column hooks are distinct within a partition, so each partition
     contributes 0 or 1.
     """
-    return _table("first-column-k-hooks", {"k": k}, n_max,
-                  lambda n: _first_column_census(n)[k])
+    return _table(n_max, lambda n: _first_column_census(n)[k])
 
 
 def count_mex_class(k: int, n_max: int) -> CountTable:
@@ -274,35 +248,33 @@ def count_mex_class_multi(ks: tuple[int, ...], n_max: int) -> dict[int, CountTab
     """M_k(n) for several k, each read from the mex census of its own k."""
     if any(k < 1 for k in ks):
         raise ValueError(f"mex values must be >= 1, got {ks}")
-    return {k: _mex_table("mex-class", {"k": k}, -1, k, n_max) for k in ks}
+    return {k: _mex_table(-1, k, n_max) for k in ks}
 
 
 def count_generalized_mex(h: int, k: int, n_max: int) -> CountTable:
     """Partitions of n with mex k where h + 1 + #parts>k exceeds #parts<k."""
     if k < 1:
         raise ValueError(f"mex value must be >= 1, got {k}")
-    return _mex_table("generalized-mex", {"h": h, "k": k}, h, k, n_max)
+    return _mex_table(h, k, n_max)
 
 
 def count_ones_exact(h: int, n_max: int) -> CountTable:
     """Partitions of n in which 1 appears exactly h+1 times (h >= -1)."""
     if h < -1:
         raise ValueError(f"the exact-ones statistic needs h >= -1, got {h}")
-    return _table("ones-exact", {"h": h}, n_max,
-                  lambda n: sum(_ones_census(h + 1, n).values()))
+    return _table(n_max, lambda n: sum(_ones_census(h + 1, n).values()))
 
 
 def count_ones_shifted(h: int, n_max: int) -> CountTable:
     """Partitions of n-h with at least 1-h parts and exactly one part 1, tabulated at n."""
-    return _table("ones-shifted", {"h": h}, n_max,
+    return _table(n_max,
                   lambda n: sum(c for t, c in _ones_census(1, n - h).items() if t >= 1 - h),
                   top=n_max - h)
 
 
 def count_box_partitions(rows: int, cols: int, n_max: int) -> CountTable:
     """Partitions of n that fit in a rows x cols box: at most rows parts, none above cols."""
-    return _table("box-partitions", {"rows": rows, "cols": cols}, n_max,
-                  lambda n: _in_box(n, rows, cols))
+    return _table(n_max, lambda n: _in_box(n, rows, cols))
 
 
 def partition_counts(n_max: int) -> CountTable:
@@ -311,4 +283,4 @@ def partition_counts(n_max: int) -> CountTable:
     def one(n: int) -> int:
         return sum(1 for _ in partitions_of(n))
 
-    return _table("partition-numbers", {}, n_max, one)
+    return _table(n_max, one)

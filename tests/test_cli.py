@@ -17,6 +17,7 @@ DATA = Path(__file__).parent / "data"
 GOLDEN_BIJECTIONS = json.loads((DATA / "bijection_cli.json").read_text())
 GOLDEN_VERIFY = json.loads((DATA / "verify_reports.json").read_text())
 SEQ_DIGESTS = json.loads((DATA / "seq_bfile_digests.json").read_text())
+SEQ_TEXT_DIGESTS = json.loads((DATA / "seq_text_digests.json").read_text())
 
 
 def run(capsys, *argv):
@@ -113,17 +114,25 @@ class TestSeqCommand:
         counts = [line.split(",")[1] for line in out.strip().splitlines()[1:]]
         assert counts == ["0", "0", "1", "1", "2", "2"]
 
-    def test_bfile_format(self, capsys):
+    @pytest.mark.parametrize("argv, expected", [
+        ((), "1 1\n2 0\n3 1\n4 2\n5 3\n"),
+        (("--start", "0"), "0 0\n1 1\n2 0\n3 1\n4 2\n5 3\n"),
+        (("--start", "4"), "4 2\n5 3\n"),
+        (("--start", "6"), ""),  # no row at or past --start
+        (("--nmax", "0"), ""),  # the one row, n = 0, is before the default start
+    ], ids=["default-start", "start-0", "start-4", "start-past-nmax", "nmax-0"])
+    def test_bfile_format(self, capsys, argv, expected):
         code, out, _ = run(capsys, "seq", "fixed-hooks", "--h", "0", "--nmax", "5",
-                           "--format", "bfile")
-        assert code == 0
-        assert out.splitlines() == ["1 1", "2 0", "3 1", "4 2", "5 3"]
+                           "--format", "bfile", *argv)
+        assert (code, out) == (0, expected)
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "seq", "first-column-k-hooks", "--k", "1", "--nmax", "5",
                            "--format", "json")
         assert code == 0
         data = json.loads(out)
+        assert data["statistic"] == "first-column-k-hooks"
+        assert data["params"] == {"k": 1}
         assert data["values"]["5"] == 5
 
     def test_missing_parameter(self, capsys):
@@ -278,16 +287,27 @@ class TestStatisticTable:
 
     def test_default_grid_bfiles_are_byte_identical(self, capsys):
         nmax = SEQ_DIGESTS["nmax"]
-        digests = {}
-        for name, stat in STATISTICS.items():
-            for point in stat.grid():
-                flags = [arg for item in point.items() for arg in (f"--{item[0]}", str(item[1]))]
-                code, out, _ = run(capsys, "seq", name, *flags, "--nmax", str(nmax),
-                                   "--format", "bfile", "--start", "0")
-                assert code == 0
-                key = " ".join([name, *(f"{param}={value}" for param, value in point.items())])
-                digests[key] = hashlib.sha256(out.encode()).hexdigest()
+        digests = _seq_digests(capsys, "--nmax", str(nmax), "--format", "bfile", "--start", "0")
         assert digests == SEQ_DIGESTS["sha256"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_default_grid_text_is_byte_identical(self, capsys, fmt):
+        nmax = SEQ_TEXT_DIGESTS["nmax"]
+        digests = _seq_digests(capsys, "--nmax", str(nmax), "--format", fmt)
+        assert digests == SEQ_TEXT_DIGESTS["sha256"][fmt]
+
+
+def _seq_digests(capsys, *argv):
+    """SHA-256 of `seq` stdout at every default grid point, keyed "<statistic> h=.. k=.."."""
+    digests = {}
+    for name, stat in STATISTICS.items():
+        for point in stat.grid():
+            flags = [arg for item in point.items() for arg in (f"--{item[0]}", str(item[1]))]
+            code, out, _ = run(capsys, "seq", name, *flags, *argv)
+            assert code == 0
+            key = " ".join([name, *(f"{param}={value}" for param, value in point.items())])
+            digests[key] = hashlib.sha256(out.encode()).hexdigest()
+    return digests
 
 
 def _outcome(capsys, argv):

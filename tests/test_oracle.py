@@ -141,30 +141,6 @@ class TestOnesCounts:
         assert count_ones_shifted(-2, 6)[3] == 1
 
 
-class TestSerialization:
-    def test_csv(self):
-        table = count_fixed_hooks(0, 9)
-        text = table.to_csv()
-        assert text.startswith("n,count\n")
-        assert text.rstrip().endswith("9,12")
-
-    def test_json(self):
-        data = count_mex_class(2, 5).to_json_dict()
-        assert data["statistic"] == "mex-class"
-        assert data["params"] == {"k": 2}
-        assert data["values"]["5"] == count_mex_class(2, 5)[5]
-
-    def test_bfile(self):
-        table = count_fixed_hooks(0, 5)
-        assert table.to_bfile(start=1).splitlines()[0] == "1 1"
-        assert table.to_bfile(start=0).splitlines()[0] == "0 0"
-        assert table.to_bfile(start=4) == "4 2\n5 3\n"
-
-    def test_bfile_without_rows_is_empty(self):
-        assert count_fixed_hooks(0, 5).to_bfile(start=6) == ""
-        assert count_fixed_hooks(0, 0).to_bfile() == ""
-
-
 class TestGeneratorGate:
     def test_counts_match_pentagonal_recurrence(self):
         table = partition_counts(20)

@@ -229,9 +229,6 @@ class TestFixedHookSeries:
             table = count_h_fixed_by_hook(k - 1, k, 20)
             assert [gf.coeff(n) for n in range(21)] == [table[n] for n in range(21)]
 
-    def test_all_h_fixed_matches_fixed_hooks(self):
-        assert gf_all_h_fixed(0, 40) == gf_fixed_hooks_simplified(40)
-
     def test_all_h_fixed_vanishing(self):
         gf = gf_all_h_fixed(-8, 30)
         for n in range(0, 8):

@@ -58,8 +58,7 @@ def _off_by_one_at(at, func):
         if isinstance(value, Series):
             return value + Series.monomial(at, value.order)
         if isinstance(value, CountTable):
-            values = {n: c + (n == at) for n, c in value.values.items()}
-            return CountTable(value.statistic, value.params, values)
+            return CountTable({n: c + (n == at) for n, c in value.values.items()})
         return value + (args[-1] == at)  # truncated_pentagonal(k, n) is one coefficient
 
     return wrapped
@@ -93,7 +92,7 @@ class TestReports:
         def broken(h, n_max):
             values = {n: 0 for n in range(n_max + 1)}
             values[4] = 99
-            return CountTable("fixed-hooks", {"h": h}, values)
+            return CountTable(values)
 
         monkeypatch.setattr(verify_mod.oracle, "count_fixed_hooks", broken)
         report = verify_theorem("thm4.2", nmax=8, order=16, h=0)
@@ -107,7 +106,7 @@ class TestReports:
 
     def test_mismatch_exit_code(self, monkeypatch, capsys):
         def broken(h, n_max):
-            return CountTable("fixed-hooks", {"h": h}, {n: 0 for n in range(n_max + 1)})
+            return CountTable({n: 0 for n in range(n_max + 1)})
 
         monkeypatch.setattr(verify_mod.oracle, "count_fixed_hooks", broken)
         argv = ["verify", "thm4.2", "--h", "0", "--nmax", "8", "--order", "16"]
