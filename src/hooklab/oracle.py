@@ -3,19 +3,22 @@
 Every statistic here is computed by exhaustively enumerating partitions
 and counting them one by one; no count comes from a formula.  Each
 statistic that a verification grid refines is read from a memoized
-census, so the cells of a grid share its sweeps:
+census, so the cells of a grid share its walks:
 
-* first-column hooks are tested on every partition of n, one census per
-  weight;
-* the fixed-hook, mex and ones classes are built from their definition,
-  one census per (class, weight), so only the partitions of the class are
-  generated, each once: the rows below a fixed hook plus every choice of
-  the rows above it, or a fixed prefix of small parts plus every partition
-  of the rest into parts above a floor;
+* first-column hooks are read off every partition of n, one census per
+  weight, from an ascending walk that shares the hooks of the smaller
+  parts between the partitions that have them;
+* the fixed-hook class is built from its definition, one census per (h,
+  top weight): the rows below a fixed hook, and for each such set every
+  choice of the rows above it, walked once for all weights up to the top;
+* the mex and ones classes are built the same way, one census per (class,
+  weight): a fixed prefix of small parts plus every partition of the rest
+  into parts above a floor;
 * the pairs (lambda, i) with i appearing i times in lambda are built the
   same way, i copies of i between the parts below i and the rest above it;
-* box counts walk the partitions in their box, one weight at a time.
+* box counts walk the partitions in their box once, for every weight at once.
 
+In each walk every partition is generated once and adds 1 at its weight.
 Nothing in this module imports :mod:`hooklab.series`; agreement between
 the two sides is what the verification layer checks.
 """
@@ -25,7 +28,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -55,53 +57,59 @@ def _table(n_max: int, count_one: Callable[[int], int], top: int | None = None) 
     return CountTable({n: count_one(n) for n in range(n_max + 1)})
 
 
-def _in_box(n: int, rows: int, cols: int) -> int:
-    """How many partitions of n have at most rows parts, none above cols, walked one at a time."""
-    if rows < 2 or cols < 0:
-        return int(rows >= 0 and cols >= 0 and (n == 0 or rows == 1 and n <= cols))
-    count = 0
-    stack = [(n, rows, cols)]  # (weight, most parts, largest part) of each rest still to walk
+def _walk_box(counts: list[int], at: int, rows: int, cols: int) -> None:
+    """Add 1 at counts[at + |lam|] for every partition lam with at most rows parts, none above
+    cols, and at + |lam| < len(counts): each one walked once, whatever its weight."""
+    end = len(counts) - 1
+    if rows < 0 or cols < 0 or at > end:
+        return
+    counts[at] += 1  # the empty partition
+    # (index of the weight so far, rows left, largest part left) of each partition to extend;
+    # a part is >= 1, so the walk is as deep as the weight, never as deep as rows or cols
+    stack = [(at, rows, cols)] if rows and cols else []
     while stack:
-        rest, rows, x = stack.pop()
-        if x > rest:
-            x = rest
-        if rows == 2 or rest == 0:  # (x, rest - x) for x down to rest / 2; just () if rest is 0
-            while 2 * x >= rest:
-                count += 1
-                x -= 1
-        else:  # every first part x that leaves a rest the other rows can hold
-            low = (rest - 1) // rows
-            rows -= 1
-            while x > low:
-                stack.append((rest - x, rows, x))
-                x -= 1
-    return count
+        w, rows, x = stack.pop()
+        room = end - w
+        # one, two, ... more parts of 1, which only more 1s can follow
+        for v in range(w + 1, w + (rows if rows < room else room) + 1):
+            counts[v] += 1
+        rows -= 1
+        # or a next part of 2 or more, to extend in turn
+        for v in range(w + 2, w + (x if x < room else room) + 1):
+            counts[v] += 1
+            if rows and v < end:
+                stack.append((v, rows, v - w))
 
 
 @functools.lru_cache(maxsize=None)
-def _fixed_hook_census(h: int, n: int) -> Counter:
-    """How many partitions of n have each h-fixed hook (position, hook, part).
+def _fixed_hook_census(h: int, top: int) -> list[Counter]:
+    """How many partitions of each weight n <= top have each h-fixed hook (position, hook, part).
 
     A partition whose h-fixed hook sits at position s on a part p has
     t = 2s + h - p parts: s - 1 rows >= p above row s, and m = s + h - p rows
     in 1..p below it.  So every one of them is generated once, one (s, p)
     block at a time: each set of lower rows by the multiplicities of 1..p-1
-    left after taking one box from every row, and for each such set every
-    choice of the rows above, less p each, by _in_box.
+    left after taking one box from every row, and for each such set one walk
+    of every choice of the rows above, less p each, that fits under the top.
+    Each set walks its own rows above, even when two sets weigh the same.
     """
-    census: Counter = Counter()
-    for p in range(1, n + 1):
-        # the block's lightest partition has s rows of p and m rows of 1
-        for s in range(max(1, p - h), (n - h + p) // (p + 1) + 1):
+    check_weight(top)
+    census = [Counter() for _ in range(top + 1)]
+    for p in range(1, top + 1):
+        for s in range(max(1, p - h), (top - h + p) // (p + 1) + 1):
             m = s + h - p
-            room = n - s * p - m  # weight of the rows above beyond p, plus the lower rows beyond 1
+            base = s * p + m  # the block's lightest partition has s rows of p and m rows of 1
+            room = top - base  # weight of the rows above beyond p, plus the lower rows beyond 1
             lower = [(0, 0)]  # (weight, #rows) of the multiplicities of 1..part-1
             for part in range(1, p):
                 lower = [(weight + part * c, rows + c) for weight, rows in lower
                          for c in range(min(m - rows, (room - weight) // part) + 1)]
-            count = sum(_in_box(room - weight, s - 1, room - weight) for weight, _ in lower)
-            if count:
-                census[s, s + h, p] = count
+            counts = [0] * (room + 1)  # the block's partitions by weight - base
+            for weight, _ in lower:
+                _walk_box(counts, weight, s - 1, room)
+            for n, count in enumerate(counts, base):
+                if count:
+                    census[n][s, s + h, p] = count
     return census
 
 
@@ -170,19 +178,47 @@ def _ones_census(ones: int, n: int) -> dict[int, int]:
     return {ones + t: c for t, c in _lengths_from(n - ones, 2).items()}
 
 
+def _first_column_hooks(n: int) -> Iterator[tuple[int, ...]]:
+    """The first-column hooks of each partition of n, one ascending tuple per partition."""
+    if n == 0:
+        yield ()
+        return
+    # AccelAsc (Kelleher & O'Sullivan) lists the parts in ascending order, and the
+    # hook of the j-th smallest part (from 0) is that part plus j, whatever the
+    # length: b[0..k-1] holds the hooks of the parts below the last two, shared by
+    # every partition of the inner loop, and y + 1 + sum(parts) == n at the top.
+    b = [0] * (n + 1)
+    k = 1
+    y = n - 1
+    while k:
+        x = b[k - 1] - k + 2  # one more than the part below
+        k -= 1
+        while 2 * x <= y:
+            b[k] = x + k
+            y -= x
+            k += 1
+        prefix = tuple(b[:k])
+        while x <= y:  # parts ... x, y
+            yield prefix + (x + k, y + k + 1)
+            x += 1
+            y -= 1
+        b[k] = x + y + k  # parts ... x + y
+        yield prefix + (b[k],)
+        y = x + y - 1
+
+
 @functools.lru_cache(maxsize=None)
 def _first_column_census(n: int) -> Counter:
     """How many partitions of n have a first-column hook of each length."""
-    # the hook at position s of t parts is part s + t - s: the parts plus t-1, ..., 1, 0,
-    # counted in one pass at C level, each partition still streamed and counted on its own
-    return Counter(itertools.chain.from_iterable(
-        map(operator.add, parts, range(len(parts) - 1, -1, -1)) for parts in partitions_of(n)))
+    check_weight(n)
+    # counted in one pass at C level, each partition's hooks still generated on their own
+    return Counter(itertools.chain.from_iterable(_first_column_hooks(n)))
 
 
 def _fixed_hook_table(h: int, n_max: int, keep: Callable[[int, int, int], bool]) -> CountTable:
     """Partitions of n whose h-fixed hook (position, hook, part) passes keep."""
-    return _table(n_max,
-                  lambda n: sum(c for hit, c in _fixed_hook_census(h, n).items() if keep(*hit)))
+    census = _fixed_hook_census(h, max(n_max, 0))
+    return _table(n_max, lambda n: sum(c for hit, c in census[n].items() if keep(*hit)))
 
 
 def _mex_table(h: int, k: int, n_max: int) -> CountTable:
@@ -274,7 +310,10 @@ def count_ones_shifted(h: int, n_max: int) -> CountTable:
 
 def count_box_partitions(rows: int, cols: int, n_max: int) -> CountTable:
     """Partitions of n that fit in a rows x cols box: at most rows parts, none above cols."""
-    return _table(n_max, lambda n: _in_box(n, rows, cols))
+    check_weight(max(n_max, 0))
+    counts = [0] * (n_max + 1)
+    _walk_box(counts, 0, rows, cols)
+    return CountTable(dict(enumerate(counts)))
 
 
 def partition_counts(n_max: int) -> CountTable:

@@ -1,6 +1,7 @@
 import ast
 import bisect
 import itertools
+import operator
 import time
 from collections import Counter
 from pathlib import Path
@@ -24,11 +25,12 @@ from hooklab import (
 )
 from hooklab.oracle import (
     _first_column_census,
+    _first_column_hooks,
     _fixed_hook_census,
-    _in_box,
     _lengths_from,
     _mex_census,
     _ones_census,
+    _walk_box,
     count_box_partitions,
     partition_counts,
     partitions_of,
@@ -160,6 +162,10 @@ class TestGeneratorGate:
         lambda: count_h_fixed_by_hook(0, 1, MAX_ENUMERATION_WEIGHT + 1),
         lambda: count_box_partitions(3, 3, MAX_ENUMERATION_WEIGHT + 1),
         lambda: count_parts_eq_mult(MAX_ENUMERATION_WEIGHT + 1),
+        lambda: count_first_column_k_hooks(1, MAX_ENUMERATION_WEIGHT + 1),
+        # the censuses check their own top, before they fill anything
+        lambda: _fixed_hook_census(0, MAX_ENUMERATION_WEIGHT + 1),
+        lambda: _first_column_census(MAX_ENUMERATION_WEIGHT + 1),
     ])
     def test_enumeration_bound(self, call):
         with pytest.raises(ValueError, match=f"enumeration bound {MAX_ENUMERATION_WEIGHT}$"):
@@ -303,12 +309,28 @@ class TestPrefixSplitDifferential:
                 whole.update(value + t - s for s, value in enumerate(parts, start=1))
             assert _first_column_census(n) == whole, n
 
-    def test_fixed_hook_census(self, partitions):
+    def test_first_column_hooks_match_the_descending_sweep(self, partitions):
+        # the ascending walk yields one hook tuple per partition, the same tuples
+        # (read backwards) as the descending sweep it replaced, and the same census
+        p = partition_numbers(self.N)
         for n, ps in partitions.items():
-            for h in range(-8, 9):
-                whole = Counter(find_fixed_hook(parts, h) for parts in ps)
-                del whole[None]
-                assert _fixed_hook_census(h, n) == whole, (h, n)
+            walked = [hooks[::-1] for hooks in _first_column_hooks(n)]
+            swept = [tuple(_descending_hooks(parts)) for parts in ps]
+            assert len(walked) == p[n], n
+            assert Counter(walked) == Counter(swept), n
+            assert len(set(walked)) == p[n], n
+            assert _first_column_census(n) == _descending_census(n), n
+
+    def test_fixed_hook_census(self, partitions):
+        for h in range(-8, 9):
+            whole = [Counter(find_fixed_hook(parts, h) for parts in partitions[n])
+                     for n in range(self.N + 1)]
+            for census in whole:
+                del census[None]
+            assert _fixed_hook_census(h, self.N) == whole, h
+            # a lower top cuts the walk, and keeps the same counts below it
+            for top in (0, 1, 2, 7, 18):
+                assert _fixed_hook_census(h, top) == whole[: top + 1], (h, top)
 
     def test_fixed_hook_census_far_h(self):
         start = time.perf_counter()
@@ -316,22 +338,86 @@ class TestPrefixSplitDifferential:
             assert set(count_fixed_hooks(h, 30).values.values()) == {0}, h
         assert time.perf_counter() - start < 1
 
-    def test_in_box_matches_filter(self, partitions):
-        # every box of every n <= 24 walks 1.7 M partitions; n <= 30 would walk 10.7 M
-        for n in range(25):
-            for rows in range(n + 2):
-                tops = sorted(parts[0] if parts else 0
+    def test_walk_box_matches_filter(self, partitions):
+        # each box up to 25 x 25, walked once for every n <= 24
+        top = 24
+        for rows in range(top + 2):
+            tops = {n: sorted(parts[0] if parts else 0
                               for parts in partitions[n] if len(parts) <= rows)
-                for cols in range(n + 2):
-                    assert _in_box(n, rows, cols) == bisect.bisect_right(tops, cols), (
-                        n, rows, cols)
+                    for n in range(top + 1)}
+            for cols in range(top + 2):
+                assert _box_counts(top, rows, cols) == [
+                    bisect.bisect_right(tops[n], cols) for n in range(top + 1)], (rows, cols)
 
-    def test_in_box_edges(self):
-        assert [_in_box(0, rows, cols) for rows, cols in ((0, 0), (0, 5), (5, 0))] == [1, 1, 1]
-        assert [_in_box(n, 0, n) for n in (1, 2, 7)] == [0, 0, 0]
-        assert [_in_box(n, n, 0) for n in (1, 2, 7)] == [0, 0, 0]
-        assert _in_box(4, 10**9, 10**9) == 5  # no walk over the unused rows
-        assert _in_box(0, -1, 0) == _in_box(0, 0, -1) == _in_box(3, -1, 3) == 0
+    def test_walk_box_matches_in_box(self):
+        # the boxes of each n <= 24 up to (n + 1) x (n + 1), as the filter test's, each
+        # weight of a box against the walk that went one weight at a time
+        top = 24
+        for rows, cols in itertools.product(range(-1, top + 2), repeat=2):
+            counts = _box_counts(top, rows, cols)
+            for n in range(max(rows, cols, 1) - 1, top + 1):
+                assert counts[n] == _old_in_box(n, rows, cols), (n, rows, cols)
+        for rows, cols in ((10**9, 10**9), (10**9, 3), (3, 10**9), (-1, 10**9), (10**9, -1)):
+            assert _box_counts(9, rows, cols) == [
+                _old_in_box(n, rows, cols) for n in range(10)], (rows, cols)
+
+    def test_walk_box_edges(self):
+        assert [_box_counts(0, rows, cols) for rows, cols in ((0, 0), (0, 5), (5, 0))] == [[1]] * 3
+        assert [_box_counts(n, 0, n)[n] for n in (1, 2, 7)] == [0, 0, 0]
+        assert [_box_counts(n, n, 0)[n] for n in (1, 2, 7)] == [0, 0, 0]
+        start = time.perf_counter()
+        assert _box_counts(4, 10**9, 10**9) == [1, 1, 2, 3, 5]  # no walk over the unused rows
+        assert time.perf_counter() - start < 1
+        assert _box_counts(0, -1, 0) == _box_counts(0, 0, -1) == [0]
+        assert _box_counts(3, -1, 3) == [0, 0, 0, 0]
+        # a walk starting past the end, or at it, adds nothing, or the empty partition
+        counts = [0, 0, 0]
+        _walk_box(counts, 3, 5, 5)
+        _walk_box(counts, 2, 5, 5)
+        assert counts == [0, 0, 1]
+        assert count_box_partitions(2, 2, -1).values == {}
+
+
+def _box_counts(top, rows, cols):
+    """How many partitions of each n <= top fit in the rows x cols box, by one walk."""
+    counts = [0] * (top + 1)
+    _walk_box(counts, 0, rows, cols)
+    return counts
+
+
+def _old_in_box(n, rows, cols):
+    """How many partitions of n have at most rows parts, none above cols: the
+    one-weight-at-a-time walk the box walker replaced."""
+    if rows < 2 or cols < 0:
+        return int(rows >= 0 and cols >= 0 and (n == 0 or rows == 1 and n <= cols))
+    count = 0
+    stack = [(n, rows, cols)]
+    while stack:
+        rest, rows, x = stack.pop()
+        if x > rest:
+            x = rest
+        if rows == 2 or rest == 0:
+            while 2 * x >= rest:
+                count += 1
+                x -= 1
+        else:
+            low = (rest - 1) // rows
+            rows -= 1
+            while x > low:
+                stack.append((rest - x, rows, x))
+                x -= 1
+    return count
+
+
+def _descending_hooks(parts):
+    """First-column hooks of nonincreasing parts, as the descending sweep read them."""
+    return map(operator.add, parts, range(len(parts) - 1, -1, -1))
+
+
+def _descending_census(n):
+    """The first-column census as the ZS1 sweep counted it, before the ascending walk."""
+    return Counter(itertools.chain.from_iterable(
+        _descending_hooks(parts) for parts in iter_partition_tuples(n)))
 
 
 def _per_partition_parts_eq_mult(n):

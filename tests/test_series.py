@@ -541,8 +541,8 @@ def _outcome(fn, *args):
 
 
 def _kernel_grid(order):
-    """(new, old, args) at one order: h in -7..6, k in 0..7, a <= 11, b in -1..12."""
-    hs, ks = range(-7, 7), range(0, 8)
+    """(new, old, args) at one order: h in -7..6, k in 0..8 and 10, a <= 11, b in -1..12."""
+    hs, ks = range(-7, 7), (*range(0, 9), 10)
     yield gf_fixed_hooks_double_sum, _old_gf_fixed_hooks_double_sum, (order,)
     yield gf_fixed_hooks_simplified, _old_gf_fixed_hooks_simplified, (order,)
     for a in range(-1, 12):
@@ -674,8 +674,8 @@ def _carried_gf_first_column_k_hooks(k, order):
 
 
 def _carried_grid(order):
-    """(new, carried, args) at one order: h in -7..6, k in 0..7."""
-    hs, ks = range(-7, 7), range(0, 8)
+    """(new, carried, args) at one order: h in -7..6, k in 0..8 and 10."""
+    hs, ks = range(-7, 7), (*range(0, 9), 10)
     yield gf_fixed_hooks_double_sum, _carried_gf_fixed_hooks_double_sum, (order,)
     for k in ks:
         yield gf_M_k, _carried_gf_M_k, (k, order)
