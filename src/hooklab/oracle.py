@@ -18,7 +18,9 @@ census, so the cells of a grid share its walks:
   same way, i copies of i between the parts below i and the rest above it;
 * box counts walk the partitions in their box once, for every weight at once.
 
-In each walk every partition is generated once and adds 1 at its weight.
+The small parts of the fixed-hook, mex and (lambda, i) classes come from one
+multiplicity enumerator.  In each walk every partition is generated once and
+adds 1 at its weight.
 Nothing in this module imports :mod:`hooklab.series`; agreement between
 the two sides is what the verification layer checks.
 """
@@ -81,6 +83,16 @@ def _walk_box(counts: list[int], at: int, rows: int, cols: int) -> None:
                 stack.append((v, rows, v - w))
 
 
+def _multiplicities(below: int, room: int, rows: int) -> list[tuple[int, int]]:
+    """(weight, #parts) of every choice of multiplicities of 1..below-1 that weighs at most
+    room >= 0 and has at most rows >= 0 parts, each choice listed once."""
+    choices = [(0, 0)]
+    for part in range(1, below):
+        choices = [(weight + part * c, parts + c) for weight, parts in choices
+                   for c in range(min(rows - parts, (room - weight) // part) + 1)]
+    return choices
+
+
 @functools.lru_cache(maxsize=None)
 def _fixed_hook_census(h: int, top: int) -> list[Counter]:
     """How many partitions of each weight n <= top have each h-fixed hook (position, hook, part).
@@ -89,8 +101,9 @@ def _fixed_hook_census(h: int, top: int) -> list[Counter]:
     t = 2s + h - p parts: s - 1 rows >= p above row s, and m = s + h - p rows
     in 1..p below it.  So every one of them is generated once, one (s, p)
     block at a time: each set of lower rows by the multiplicities of 1..p-1
-    left after taking one box from every row, and for each such set one walk
-    of every choice of the rows above, less p each, that fits under the top.
+    left after taking one box from every row, at most m of them, from
+    _multiplicities, and for each such set one walk of every choice of the
+    rows above, less p each, that fits under the top.
     Each set walks its own rows above, even when two sets weigh the same.
     """
     check_weight(top)
@@ -100,12 +113,8 @@ def _fixed_hook_census(h: int, top: int) -> list[Counter]:
             m = s + h - p
             base = s * p + m  # the block's lightest partition has s rows of p and m rows of 1
             room = top - base  # weight of the rows above beyond p, plus the lower rows beyond 1
-            lower = [(0, 0)]  # (weight, #rows) of the multiplicities of 1..part-1
-            for part in range(1, p):
-                lower = [(weight + part * c, rows + c) for weight, rows in lower
-                         for c in range(min(m - rows, (room - weight) // part) + 1)]
             counts = [0] * (room + 1)  # the block's partitions by weight - base
-            for weight, _ in lower:
+            for weight, _ in _multiplicities(p, room, m):
                 _walk_box(counts, weight, s - 1, room)
             for n, count in enumerate(counts, base):
                 if count:
@@ -148,22 +157,19 @@ def _lengths_from(n: int, floor: int) -> dict[int, int]:
 def _mex_census(k: int, n: int) -> Counter:
     """How many partitions of n with mex k have each #parts below k - #parts above it.
 
-    Such a partition is one or more copies of each of 1..k-1 (the prefix) plus
-    a partition of the rest into parts >= k + 1, so every one of them is
-    generated once: each prefix by its multiplicities, each rest by
-    _lengths_from; a rest below 2k + 2 has at most one partition into parts
-    >= k + 1, () or (rest,), and is counted where it is met.
+    Such a partition is one copy of each of 1..k-1 (weight C(k, 2)), further
+    copies of them, and a partition of the rest into parts >= k + 1, so every
+    one of them is generated once: the further copies by _multiplicities, each
+    rest by _lengths_from; a rest below 2k + 2 has at most one partition into
+    parts >= k + 1, () or (rest,), and is counted where it is met.
     """
     census: Counter = Counter()
-    if k * (k - 1) // 2 > n:  # no prefix fits, and k may be far too large to walk 1..k-1
+    room = n - k * (k - 1) // 2
+    if room < 0:  # 1..k-1 do not fit, and k may be far too large to walk 1..k-1
         return census
-    prefixes = [(0, 0)]  # (weight, #parts) of the multiplicities of 1..part-1
-    for part in range(1, k):
-        room = n - (part + k) * (k - 1 - part) // 2  # n less one copy each of part+1..k-1
-        prefixes = [(weight + part * m, below + m) for weight, below in prefixes
-                    for m in range(1, (room - weight) // part + 1)]
-    for weight, below in prefixes:
-        rest = n - weight
+    for weight, extra in _multiplicities(k, room, room):  # a part is >= 1: rows never binds
+        rest = room - weight
+        below = k - 1 + extra
         if rest >= 2 * k + 2:
             for above, c in _lengths_from(rest, k + 1).items():
                 census[below - above] += c
@@ -221,12 +227,6 @@ def _fixed_hook_table(h: int, n_max: int, keep: Callable[[int, int, int], bool])
     return _table(n_max, lambda n: sum(c for hit, c in census[n].items() if keep(*hit)))
 
 
-def _mex_table(h: int, k: int, n_max: int) -> CountTable:
-    """Partitions of n with mex k where h + 1 + #parts>k exceeds #parts<k."""
-    return _table(n_max,
-                  lambda n: sum(c for diff, c in _mex_census(k, n).items() if diff < h + 1))
-
-
 def count_fixed_hooks(h: int, n_max: int) -> CountTable:
     """Partitions of n possessing an h-fixed hook (f(n) when h = 0)."""
     return _fixed_hook_table(h, n_max, lambda s, hook, part: True)
@@ -239,18 +239,15 @@ def count_parts_eq_mult(n_max: int) -> CountTable:
     in lambda, the domain of Theorem 2.1's bijection B.  Each pair is i copies
     of i, the parts below i by their multiplicities, and a partition of the
     rest into parts >= i + 1, so every pair is generated once: each set of
-    lower parts in turn, each rest by _lengths_from.
+    lower parts by _multiplicities, each rest by _lengths_from.
     """
 
     def one(n: int) -> int:
         total = 0
         for i in range(1, math.isqrt(n) + 1):
             room = n - i * i
-            lower = [0]  # weights of the multiplicities of 1..part-1
-            for part in range(1, i):
-                lower = [weight + part * c for weight in lower
-                         for c in range((room - weight) // part + 1)]
-            total += sum(sum(_lengths_from(room - weight, i + 1).values()) for weight in lower)
+            total += sum(sum(_lengths_from(room - weight, i + 1).values())
+                         for weight, _ in _multiplicities(i, room, room))
         return total
 
     return _table(n_max, one)
@@ -277,21 +274,22 @@ def count_first_column_k_hooks(k: int, n_max: int) -> CountTable:
 
 def count_mex_class(k: int, n_max: int) -> CountTable:
     """M_k(n): partitions of n with mex k and more parts above k than below it."""
-    return count_mex_class_multi((k,), n_max)[k]
+    return count_generalized_mex(-1, k, n_max)
 
 
 def count_mex_class_multi(ks: tuple[int, ...], n_max: int) -> dict[int, CountTable]:
     """M_k(n) for several k, each read from the mex census of its own k."""
     if any(k < 1 for k in ks):
         raise ValueError(f"mex values must be >= 1, got {ks}")
-    return {k: _mex_table(-1, k, n_max) for k in ks}
+    return {k: count_mex_class(k, n_max) for k in ks}
 
 
 def count_generalized_mex(h: int, k: int, n_max: int) -> CountTable:
     """Partitions of n with mex k where h + 1 + #parts>k exceeds #parts<k."""
     if k < 1:
         raise ValueError(f"mex value must be >= 1, got {k}")
-    return _mex_table(h, k, n_max)
+    return _table(n_max,
+                  lambda n: sum(c for diff, c in _mex_census(k, n).items() if diff < h + 1))
 
 
 def count_ones_exact(h: int, n_max: int) -> CountTable:

@@ -28,7 +28,7 @@ DEFAULT_H_GRID = tuple(range(-3, 4))
 DEFAULT_K_GRID = tuple(range(1, 6))
 # the largest round series order at which the slowest path of each command ends
 # within a minute (DECISIONS.md section 11): verify thm4.2 with h near order / 2,
-# seq fixed-hooks
+# seq fixed-hooks with h from 600 to 1000
 MAX_VERIFY_ORDER = 2000
 MAX_SEQ_NMAX = 10000
 

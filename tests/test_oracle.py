@@ -1,6 +1,7 @@
 import ast
 import bisect
 import itertools
+import math
 import operator
 import time
 from collections import Counter
@@ -29,6 +30,7 @@ from hooklab.oracle import (
     _fixed_hook_census,
     _lengths_from,
     _mex_census,
+    _multiplicities,
     _ones_census,
     _walk_box,
     count_box_partitions,
@@ -108,7 +110,7 @@ class TestMexCounts:
             assert a.values == b.values
 
     def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mex value must be >= 1, got 0"):
             count_mex_class(0, 5)
         with pytest.raises(ValueError, match="mex value must be >= 1, got 0"):
             count_generalized_mex(0, 0, 5)
@@ -442,6 +444,100 @@ def test_parts_eq_mult_matches_the_per_partition_loop():
     assert table.values == {n: _per_partition_parts_eq_mult(n) for n in range(41)}
 
 
+def _old_fixed_hook_census(h, top):
+    """The fixed-hook census with its lower rows walked inline, as before the shared enumerator."""
+    census = [Counter() for _ in range(top + 1)]
+    for p in range(1, top + 1):
+        for s in range(max(1, p - h), (top - h + p) // (p + 1) + 1):
+            m = s + h - p
+            base = s * p + m
+            room = top - base
+            lower = [(0, 0)]
+            for part in range(1, p):
+                lower = [(weight + part * c, rows + c) for weight, rows in lower
+                         for c in range(min(m - rows, (room - weight) // part) + 1)]
+            counts = [0] * (room + 1)
+            for weight, _ in lower:
+                _walk_box(counts, weight, s - 1, room)
+            for n, count in enumerate(counts, base):
+                if count:
+                    census[n][s, s + h, p] = count
+    return census
+
+
+def _old_mex_census(k, n):
+    """The mex census with one or more copies of each of 1..k-1 walked under a per-part
+    reserved room, as before the shared enumerator."""
+    census = Counter()
+    if k * (k - 1) // 2 > n:
+        return census
+    prefixes = [(0, 0)]
+    for part in range(1, k):
+        room = n - (part + k) * (k - 1 - part) // 2
+        prefixes = [(weight + part * m, below + m) for weight, below in prefixes
+                    for m in range(1, (room - weight) // part + 1)]
+    for weight, below in prefixes:
+        rest = n - weight
+        if rest >= 2 * k + 2:
+            for above, c in _lengths_from(rest, k + 1).items():
+                census[below - above] += c
+        elif rest == 0 or rest > k:
+            census[below - (rest > 0)] += 1
+    return census
+
+
+def _old_parts_eq_mult(n):
+    """The pairs (lambda, i) with the weights of the parts below i walked inline."""
+    total = 0
+    for i in range(1, math.isqrt(n) + 1):
+        room = n - i * i
+        lower = [0]
+        for part in range(1, i):
+            lower = [weight + part * c for weight in lower
+                     for c in range((room - weight) // part + 1)]
+        total += sum(sum(_lengths_from(room - weight, i + 1).values()) for weight in lower)
+    return total
+
+
+class TestMultiplicities:
+    """The one multiplicity-prefix enumerator, and the censuses that read it against
+    the three prefix walks it replaced."""
+
+    N = 35
+
+    def test_matches_filtered_vectors(self):
+        top = 12
+        for below in range(1, 7):
+            parts = range(1, below)
+            vectors = [(sum(map(operator.mul, parts, c)), sum(c))
+                       for c in itertools.product(*(range(top // part + 1) for part in parts))]
+            for room in range(top + 1):
+                for rows in range(top + 2):
+                    expected = Counter((weight, t) for weight, t in vectors
+                                       if weight <= room and t <= rows)
+                    assert Counter(_multiplicities(below, room, rows)) == expected, (
+                        below, room, rows)
+
+    def test_edges(self):
+        assert _multiplicities(1, 0, 0) == [(0, 0)]
+        assert _multiplicities(1, 5, 5) == [(0, 0)]
+        assert _multiplicities(4, 9, 0) == [(0, 0)]  # no rows: only the empty choice
+        assert sorted(_multiplicities(3, 2, 1)) == [(0, 0), (1, 1), (2, 1)]
+
+    def test_fixed_hook_census(self):
+        for h in range(-8, 9):
+            assert _fixed_hook_census(h, self.N) == _old_fixed_hook_census(h, self.N), h
+
+    def test_mex_census(self):
+        for n in range(self.N + 1):
+            for k in range(1, 10):
+                assert _mex_census(k, n) == _old_mex_census(k, n), (k, n)
+
+    def test_parts_eq_mult(self):
+        assert count_parts_eq_mult(self.N).values == {
+            n: _old_parts_eq_mult(n) for n in range(self.N + 1)}
+
+
 def _package_imports(path: Path) -> set[str]:
     """Modules of the package that the file at path imports, by short name."""
     package = hooklab.__name__
@@ -460,7 +556,8 @@ def _package_imports(path: Path) -> set[str]:
 
 
 def test_oracle_never_imports_series():
-    """The oracle and every package module it reaches stay independent of series."""
+    """The oracle reaches no package module but partitions, so it stays independent of
+    series, and of the bijections and verification layers built beside it."""
     root = Path(hooklab.__file__).parent
     seen, todo = set(), ["oracle"]
     while todo:
@@ -468,8 +565,7 @@ def test_oracle_never_imports_series():
         if module not in seen:
             seen.add(module)
             todo.extend(_package_imports(root / f"{module}.py"))
-    assert "partitions" in seen
-    assert "series" not in seen, seen
+    assert seen == {"oracle", "partitions"}, seen
 
 
 def test_package_has_no_assert_statements():

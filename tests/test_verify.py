@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,25 @@ def _off_by_one_at(at, func):
         if isinstance(value, CountTable):
             return CountTable({n: c + (n == at) for n, c in value.values.items()})
         return value + (args[-1] == at)  # truncated_pentagonal(k, n) is one coefficient
+
+    return wrapped
+
+
+def _public_functions(module):
+    """The names of the public functions that module defines, lru_cache objects included."""
+    return [name for name, value in vars(module).items()
+            if not name.startswith("_") and callable(value) and not isinstance(value, type)
+            and getattr(value, "__module__", None) == module.__name__]
+
+
+def _recording(calls, module, name):
+    """module.name, adding (module, name) to calls whenever a frame of verify calls it."""
+    func = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == verify_mod.__name__:
+            calls.add((module, name))
+        return func(*args, **kwargs)
 
     return wrapped
 
@@ -146,6 +166,19 @@ class TestReports:
         for theorem, module, name in SIDES:
             argv = ["verify", theorem, "--nmax", "8", "--order", "16"]
             assert (argv, f"{module.__name__.split('.')[-1]}.{name}", 3) in pinned
+
+    def test_sides_are_complete(self, monkeypatch):
+        # every oracle counter and series constructor that a verifier calls itself is one
+        # of its SIDES entries, and each entry is called: a side added to a verifier
+        # fails here until it is pinned
+        calls = set()
+        for module in (oracle, series):
+            for name in _public_functions(module):
+                monkeypatch.setattr(module, name, _recording(calls, module, name))
+        for theorem in verify_mod.THEOREM_IDS:
+            calls.clear()
+            assert verify_theorem(theorem, nmax=8, order=16).ok
+            assert calls == {(module, name) for t, module, name in SIDES if t == theorem}, theorem
 
     @pytest.mark.parametrize("case", MISMATCHES, ids=[_case_id(case) for case in MISMATCHES])
     def test_every_side_is_compared(self, monkeypatch, capsys, case):
