@@ -11,16 +11,15 @@ census, so the cells of a grid share its walks:
 * the fixed-hook class is built from its definition, one census per (h,
   top weight): the rows below a fixed hook, and for each such set every
   choice of the rows above it, walked once for all weights up to the top;
-* the mex and ones classes are built the same way, one census per (class,
-  weight): a fixed prefix of small parts plus every partition of the rest
-  into parts above a floor;
-* the pairs (lambda, i) with i appearing i times in lambda are built the
-  same way, i copies of i between the parts below i and the rest above it;
+* the mex-k, exact-ones and (lambda, i) classes are each a fixed block
+  (one copy of each of 1..k-1, the ones, i copies of i) plus a partition
+  of the rest with no part b (b = k, 1, i), so all three read one census
+  per (b, weight) of the partitions that avoid b: the multiplicities of
+  1..b-1, from the enumerator that also lists the fixed-hook class's lower
+  rows, and every partition of the rest into parts above b;
 * box counts walk the partitions in their box once, for every weight at once.
 
-The small parts of the fixed-hook, mex and (lambda, i) classes come from one
-multiplicity enumerator.  In each walk every partition is generated once and
-adds 1 at its weight.
+In each walk every partition is generated once and adds 1 at its weight.
 Nothing in this module imports :mod:`hooklab.series`; agreement between
 the two sides is what the verification layer checks.
 """
@@ -87,7 +86,8 @@ def _multiplicities(below: int, room: int, rows: int) -> list[tuple[int, int]]:
     """(weight, #parts) of every choice of multiplicities of 1..below-1 that weighs at most
     room >= 0 and has at most rows >= 0 parts, each choice listed once."""
     choices = [(0, 0)]
-    for part in range(1, below):
+    # largest part first, so the lists before the last hold only the few choices of large parts
+    for part in range(below - 1, 0, -1):
         choices = [(weight + part * c, parts + c) for weight, parts in choices
                    for c in range(min(rows - parts, (room - weight) // part) + 1)]
     return choices
@@ -154,34 +154,24 @@ def _lengths_from(n: int, floor: int) -> dict[int, int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _mex_census(k: int, n: int) -> Counter:
-    """How many partitions of n with mex k have each #parts below k - #parts above it.
+def _avoiding_census(b: int, n: int) -> Counter:
+    """How many partitions of n with no part b have each #parts below b - #parts above it.
 
-    Such a partition is one copy of each of 1..k-1 (weight C(k, 2)), further
-    copies of them, and a partition of the rest into parts >= k + 1, so every
-    one of them is generated once: the further copies by _multiplicities, each
-    rest by _lengths_from; a rest below 2k + 2 has at most one partition into
-    parts >= k + 1, () or (rest,), and is counted where it is met.
+    Such a partition is some multiplicities of 1..b-1 and a partition of the
+    rest into parts >= b + 1, so every one of them is generated once: the
+    multiplicities by _multiplicities, each rest by _lengths_from; a rest
+    below 2b + 2 has at most one partition into parts >= b + 1, () or
+    (rest,), and is counted where it is met.
     """
     census: Counter = Counter()
-    room = n - k * (k - 1) // 2
-    if room < 0:  # 1..k-1 do not fit, and k may be far too large to walk 1..k-1
-        return census
-    for weight, extra in _multiplicities(k, room, room):  # a part is >= 1: rows never binds
-        rest = room - weight
-        below = k - 1 + extra
-        if rest >= 2 * k + 2:
-            for above, c in _lengths_from(rest, k + 1).items():
+    for weight, below in _multiplicities(b, n, n):  # a part is >= 1: rows never binds
+        rest = n - weight
+        if rest >= 2 * b + 2:
+            for above, c in _lengths_from(rest, b + 1).items():
                 census[below - above] += c
-        elif rest == 0 or rest > k:  # () or (rest,) is the rest's only partition
+        elif rest == 0 or rest > b:  # () or (rest,) is the rest's only partition
             census[below - (rest > 0)] += 1
     return census
-
-
-@functools.lru_cache(maxsize=None)
-def _ones_census(ones: int, n: int) -> dict[int, int]:
-    """How many partitions of n with exactly `ones` parts equal to 1 have each #parts."""
-    return {ones + t: c for t, c in _lengths_from(n - ones, 2).items()}
 
 
 def _first_column_hooks(n: int) -> Iterator[tuple[int, ...]]:
@@ -237,20 +227,11 @@ def count_parts_eq_mult(n_max: int) -> CountTable:
 
     That is the number of pairs (lambda, i) in which i appears exactly i times
     in lambda, the domain of Theorem 2.1's bijection B.  Each pair is i copies
-    of i, the parts below i by their multiplicities, and a partition of the
-    rest into parts >= i + 1, so every pair is generated once: each set of
-    lower parts by _multiplicities, each rest by _lengths_from.
+    of i plus a partition of the rest with no part i, so it is read from the
+    census of the partitions of n - i^2 that avoid i.
     """
-
-    def one(n: int) -> int:
-        total = 0
-        for i in range(1, math.isqrt(n) + 1):
-            room = n - i * i
-            total += sum(sum(_lengths_from(room - weight, i + 1).values())
-                         for weight, _ in _multiplicities(i, room, room))
-        return total
-
-    return _table(n_max, one)
+    return _table(n_max, lambda n: sum(sum(_avoiding_census(i, n - i * i).values())
+                                       for i in range(1, math.isqrt(n) + 1)))
 
 
 def count_h_fixed_by_part(h: int, k: int, n_max: int) -> CountTable:
@@ -278,7 +259,7 @@ def count_mex_class(k: int, n_max: int) -> CountTable:
 
 
 def count_mex_class_multi(ks: tuple[int, ...], n_max: int) -> dict[int, CountTable]:
-    """M_k(n) for several k, each read from the mex census of its own k."""
+    """M_k(n) for several k, each read from the census of the partitions that avoid its own k."""
     if any(k < 1 for k in ks):
         raise ValueError(f"mex values must be >= 1, got {ks}")
     return {k: count_mex_class(k, n_max) for k in ks}
@@ -288,21 +269,30 @@ def count_generalized_mex(h: int, k: int, n_max: int) -> CountTable:
     """Partitions of n with mex k where h + 1 + #parts>k exceeds #parts<k."""
     if k < 1:
         raise ValueError(f"mex value must be >= 1, got {k}")
-    return _table(n_max,
-                  lambda n: sum(c for diff, c in _mex_census(k, n).items() if diff < h + 1))
+
+    def one(n: int) -> int:
+        # one copy of each of 1..k-1, then a partition of the rest with no part k
+        rest = n - k * (k - 1) // 2
+        if rest < 0:  # 1..k-1 do not fit, and k may be far too large to walk 1..k-1
+            return 0
+        return sum(c for diff, c in _avoiding_census(k, rest).items() if k - 1 + diff < h + 1)
+
+    return _table(n_max, one)
 
 
 def count_ones_exact(h: int, n_max: int) -> CountTable:
     """Partitions of n in which 1 appears exactly h+1 times (h >= -1)."""
     if h < -1:
         raise ValueError(f"the exact-ones statistic needs h >= -1, got {h}")
-    return _table(n_max, lambda n: sum(_ones_census(h + 1, n).values()))
+    return _table(n_max, lambda n: sum(_avoiding_census(1, n - h - 1).values()))
 
 
 def count_ones_shifted(h: int, n_max: int) -> CountTable:
     """Partitions of n-h with at least 1-h parts and exactly one part 1, tabulated at n."""
+    # one 1 and a rest with no part 1 and -diff parts: 1 - diff >= 1 - h parts
     return _table(n_max,
-                  lambda n: sum(c for t, c in _ones_census(1, n - h).items() if t >= 1 - h),
+                  lambda n: sum(c for diff, c in _avoiding_census(1, n - h - 1).items()
+                                if diff <= h),
                   top=n_max - h)
 
 

@@ -25,13 +25,12 @@ from hooklab import (
     partition_numbers,
 )
 from hooklab.oracle import (
+    _avoiding_census,
     _first_column_census,
     _first_column_hooks,
     _fixed_hook_census,
     _lengths_from,
-    _mex_census,
     _multiplicities,
-    _ones_census,
     _walk_box,
     count_box_partitions,
     partition_counts,
@@ -264,6 +263,13 @@ def _whole_mex_census(parts_of_n):
     return census
 
 
+def _mex_entries(k, n):
+    """(#below - #above) counts of the mex-k partitions of n, read as one copy of each of
+    1..k-1 plus a partition of the rest that avoids k."""
+    rest = n - k * (k - 1) // 2
+    return {} if rest < 0 else {k - 1 + diff: c for diff, c in _avoiding_census(k, rest).items()}
+
+
 class TestPrefixSplitDifferential:
     """The prefix-split censuses against the whole-partition sweeps they replaced."""
 
@@ -291,17 +297,17 @@ class TestPrefixSplitDifferential:
         for n, ps in partitions.items():
             whole = _whole_mex_census(ps)
             for k in {m for m, _ in whole}:
-                assert _mex_census(k, n) == {diff: c for (m, diff), c in whole.items()
-                                             if m == k}, (k, n)
-            assert not _mex_census(max(m for m, _ in whole) + 1, n), n
+                assert _mex_entries(k, n) == {diff: c for (m, diff), c in whole.items()
+                                              if m == k}, (k, n)
+            assert not _mex_entries(max(m for m, _ in whole) + 1, n), n
 
     def test_ones_census(self, partitions):
         for n, ps in partitions.items():
             whole = Counter((parts.count(1), len(parts)) for parts in ps)
             for j in {ones for ones, _ in whole}:
-                assert _ones_census(j, n) == {t: c for (ones, t), c in whole.items()
-                                              if ones == j}, (j, n)
-            assert not _ones_census(n + 1, n), n
+                assert {j - diff: c for diff, c in _avoiding_census(1, n - j).items()} == {
+                    t: c for (ones, t), c in whole.items() if ones == j}, (j, n)
+        assert not _avoiding_census(1, -1)  # more ones than the weight
 
     def test_first_column_census(self, partitions):
         for n, ps in partitions.items():
@@ -486,6 +492,30 @@ def _old_mex_census(k, n):
     return census
 
 
+def _old_mex_census_from_multiplicities(k, n):
+    """How many partitions of n with mex k have each #parts below k - #parts above it, walked
+    per (k, n) as before the census of the partitions that avoid a part."""
+    census = Counter()
+    room = n - k * (k - 1) // 2
+    if room < 0:
+        return census
+    for weight, extra in _multiplicities(k, room, room):
+        rest = room - weight
+        below = k - 1 + extra
+        if rest >= 2 * k + 2:
+            for above, c in _lengths_from(rest, k + 1).items():
+                census[below - above] += c
+        elif rest == 0 or rest > k:
+            census[below - (rest > 0)] += 1
+    return census
+
+
+def _old_ones_census(ones, n):
+    """How many partitions of n with exactly `ones` parts equal to 1 have each #parts, walked
+    per (ones, n) as before the census of the partitions that avoid a part."""
+    return {ones + t: c for t, c in _lengths_from(n - ones, 2).items()}
+
+
 def _old_parts_eq_mult(n):
     """The pairs (lambda, i) with the weights of the parts below i walked inline."""
     total = 0
@@ -500,8 +530,8 @@ def _old_parts_eq_mult(n):
 
 
 class TestMultiplicities:
-    """The one multiplicity-prefix enumerator, and the censuses that read it against
-    the three prefix walks it replaced."""
+    """The one multiplicity-prefix enumerator, and the counters that read the census of
+    the partitions that avoid a part against the walks it replaced."""
 
     N = 35
 
@@ -529,13 +559,49 @@ class TestMultiplicities:
             assert _fixed_hook_census(h, self.N) == _old_fixed_hook_census(h, self.N), h
 
     def test_mex_census(self):
-        for n in range(self.N + 1):
-            for k in range(1, 10):
-                assert _mex_census(k, n) == _old_mex_census(k, n), (k, n)
+        for walk, k in itertools.product(
+                (_old_mex_census, _old_mex_census_from_multiplicities), range(1, 10)):
+            census = {n: walk(k, n) for n in range(self.N + 1)}
+            for h in range(-9, 9):
+                assert count_generalized_mex(h, k, self.N).values == {
+                    n: sum(c for diff, c in by_diff.items() if diff < h + 1)
+                    for n, by_diff in census.items()}, (walk.__name__, h, k)
+
+    def test_ones_census(self):
+        for h in range(-1, self.N + 2):
+            assert count_ones_exact(h, self.N).values == {
+                n: sum(_old_ones_census(h + 1, n).values()) for n in range(self.N + 1)}, h
+        for h in range(-12, self.N + 2):  # down to the thm3.4 --h -10 edge
+            assert count_ones_shifted(h, self.N).values == {
+                n: sum(c for t, c in _old_ones_census(1, n - h).items() if t >= 1 - h)
+                for n in range(self.N + 1)}, h
 
     def test_parts_eq_mult(self):
         assert count_parts_eq_mult(self.N).values == {
             n: _old_parts_eq_mult(n) for n in range(self.N + 1)}
+
+
+class TestAvoidingCensus:
+    """The census of the partitions that avoid a part, against a filter of every partition."""
+
+    def test_matches_filter(self):
+        for n in range(36):
+            expected = {b: Counter() for b in range(1, n + 3)}
+            for parts in iter_partition_tuples(n):
+                ascending = parts[::-1]
+                for b in range(1, n + 3):
+                    below = bisect.bisect_left(ascending, b)
+                    if below == len(parts) or ascending[below] != b:
+                        expected[b][2 * below - len(parts)] += 1
+            for b, census in expected.items():
+                assert _avoiding_census(b, n) == census, (b, n)
+
+    def test_totals_are_p_n_minus_p_n_minus_b(self):
+        # a partition of n with a part b is b plus any partition of n - b
+        p = partition_numbers(45)
+        for n in range(46):
+            for b in range(1, 13):
+                assert sum(_avoiding_census(b, n).values()) == p[n] - (p[n - b] if n >= b else 0)
 
 
 def _package_imports(path: Path) -> set[str]:
