@@ -39,19 +39,23 @@ def f_bijection(a: int, b: int, lam: Partition, mu: Partition) -> tuple[Partitio
     if len(mu_parts) > b:
         raise ValueError(f"mu has {len(mu_parts)} parts but at most {b} are allowed")
     arr = list(lam_parts)  # the nonzero entries; the zeros below them are counted
-    zeros = min(a - t, mu_parts[0]) if mu_parts else 0
     slides = []
-    for r in mu_parts:
-        s = min(r, zeros)
-        if r > zeros:
-            j = len(arr)
-            while j and r - s > arr[j - 1]:
-                s += 1
-                j -= 1
-            arr.insert(j, r - s)
-        else:
-            zeros += 1
-        slides.append(s)
+    if mu_parts:
+        zeros = a - t
+        if zeros > mu_parts[0]:
+            zeros = mu_parts[0]
+        for r in mu_parts:
+            if r > zeros:
+                s = zeros
+                j = len(arr)
+                while j and r - s > arr[j - 1]:
+                    s += 1
+                    j -= 1
+                arr.insert(j, r - s)
+            else:
+                s = r
+                zeros += 1
+            slides.append(s)
     nu = Partition._trusted(tuple(arr))
     # Slide counts are claimed to form a partition (nonincreasing); check the
     # raw sequence so a counterexample would surface rather than be masked.
@@ -93,17 +97,22 @@ def f_inverse(a: int, b: int, nu: Partition, rho: Partition) -> tuple[Partition,
         raise ValueError(f"slide count {rho_parts[0]} exceeds the {a} available parts")
     kept = a + t_rho
     arr = list(nu_parts[:kept])  # the nonzero entries; the zeros below them are counted
-    zeros = min(kept - len(arr), rho_parts[0] + t_rho) if rho_parts else 0
     mu_parts = []
-    for s in reversed(rho_parts):
-        if not 0 <= s < len(arr) + zeros:
-            raise ValueError(f"slide count {s} is inconsistent with {nu!r}")
-        if s < zeros:
-            zeros -= 1
-            mu_parts.append(s)
-        else:
-            mu_parts.append(arr.pop(len(arr) + zeros - 1 - s) + s)
-    mu_parts.reverse()
+    if rho_parts:
+        size = len(arr)
+        zeros = kept - size
+        if zeros > rho_parts[0] + t_rho:
+            zeros = rho_parts[0] + t_rho
+        for s in reversed(rho_parts):
+            if not 0 <= s < size + zeros:
+                raise ValueError(f"slide count {s} is inconsistent with {nu!r}")
+            if s < zeros:
+                zeros -= 1
+                mu_parts.append(s)
+            else:
+                size -= 1
+                mu_parts.append(arr.pop(size + zeros - s) + s)
+        mu_parts.reverse()
     mu_parts += nu_parts[kept:]
     previous = mu_parts[0] if mu_parts else 0
     for value in mu_parts:

@@ -14,7 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 # Enumeration guard: exhaustive generation beyond this weight is the wrong
 # tool (p(n) grows superpolynomially); the series side covers larger n.
@@ -35,15 +35,19 @@ class FixedHookReport(NamedTuple):
     part: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Partition:
     """An integer partition; immutable and hashable."""
 
-    parts: tuple[int, ...] = ()
+    # A hand-written slot, not slots=True: the class slots=True rebuilds keeps
+    # a frozen __setattr__ bound to the old class, so setting a new attribute
+    # raises TypeError instead of FrozenInstanceError.
+    __slots__ = ("parts",)
+    parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: Iterable[int] = ()) -> None:
+        parts = tuple(parts)
+        _set_parts(self, parts)
         for idx, value in enumerate(parts, start=1):
             if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
                 raise ValueError(f"part {idx} is {value!r}: parts must be positive integers")
@@ -57,7 +61,7 @@ class Partition:
     def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
         # Internal fast path for sequences already known to be valid.
         self = object.__new__(cls)
-        object.__setattr__(self, "parts", parts)
+        _set_parts(self, parts)
         return self
 
     @property
@@ -126,6 +130,11 @@ class Partition:
     def to_list(self) -> list[int]:
         """Canonical JSON form: a plain list of parts."""
         return list(self.parts)
+
+
+# The slot's own setter.  It skips the frozen __setattr__ as
+# object.__setattr__ does, at about half the cost per call.
+_set_parts = Partition.parts.__set__
 
 
 def find_fixed_hook(parts: tuple[int, ...], h: int) -> FixedHookReport | None:

@@ -195,11 +195,16 @@ class TestTupleDifferential:
                           if p.parts != p.parts[::-1]]
         pairs = [(x, y) for x, y in itertools.product(small, rights) if x.n + y.n <= 10]
         errors = set()
+        # Each map is also compared with its copy from before its loops
+        # dropped min().
+        maps = ((f_bijection, (_old_f_bijection, _min_f_bijection)),
+                (f_inverse, (_old_f_inverse, _min_f_inverse)))
         for a, b in itertools.product(range(-1, 8), repeat=2):
             for x, y in pairs:
-                for new, old in ((f_bijection, _old_f_bijection), (f_inverse, _old_f_inverse)):
+                for new, olds in maps:
                     outcome = _parts_outcome(new, a, b, x, y)
-                    assert outcome == _parts_outcome(old, a, b, x, y), (new.__name__, a, b, x, y)
+                    for old in olds:
+                        assert outcome == _parts_outcome(old, a, b, x, y), (old.__name__, a, b, x, y)
                     if isinstance(outcome[0], type):
                         errors.add(re.sub(r"-?\d+", "#", re.split(r"[:[(]", outcome[1])[0]).strip())
         # every check but F's rectangle check is reached; on these inputs the
@@ -289,6 +294,79 @@ def _old_f_inverse(a, b, nu, rho):
             mu_parts += [0] * (b - len(mu_parts))
             raise ValueError(f"trace does not reverse to a partition: recovered {mu_parts}")
     return Partition(_old_strip_zeros(arr)), Partition._trusted(tuple(mu_parts))
+
+
+# -- F and F^-1 as they were before their loops dropped min() ---------------
+
+def _min_f_bijection(a, b, lam, mu):
+    if a < 0 or b < 0:
+        raise ValueError(f"capacities must be nonnegative, got a={a}, b={b}")
+    lam_parts, mu_parts = lam.parts, mu.parts
+    t = len(lam_parts)
+    if t > a:
+        raise ValueError(f"lam has {t} parts but at most {a} are allowed")
+    if len(mu_parts) > b:
+        raise ValueError(f"mu has {len(mu_parts)} parts but at most {b} are allowed")
+    arr = list(lam_parts)
+    zeros = min(a - t, mu_parts[0]) if mu_parts else 0
+    slides = []
+    for r in mu_parts:
+        s = min(r, zeros)
+        if r > zeros:
+            j = len(arr)
+            while j and r - s > arr[j - 1]:
+                s += 1
+                j -= 1
+            arr.insert(j, r - s)
+        else:
+            zeros += 1
+        slides.append(s)
+    nu = Partition._trusted(tuple(arr))
+    nonzero = 0
+    previous = slides[0] if slides else 0
+    for s in slides:
+        if s > previous:
+            raise InvariantError(f"slide counts {slides} are not nonincreasing")
+        if s:
+            nonzero += 1
+        previous = s
+    if nonzero > b or (nonzero and slides[0] > a):
+        raise InvariantError(f"slide record {slides} escaped the {b} x {a} rectangle")
+    return nu, Partition._trusted(tuple(slides[:nonzero]))
+
+
+def _min_f_inverse(a, b, nu, rho):
+    if a < 0 or b < 0:
+        raise ValueError(f"capacities must be nonnegative, got a={a}, b={b}")
+    nu_parts, rho_parts = nu.parts, rho.parts
+    t, t_rho = len(nu_parts), len(rho_parts)
+    if t > a + b:
+        raise ValueError(f"nu has {t} parts but at most {a + b} are allowed")
+    if t_rho > b:
+        raise ValueError(f"rho has {t_rho} slide counts but at most {b} are allowed")
+    if rho_parts and rho_parts[0] > a:
+        raise ValueError(f"slide count {rho_parts[0]} exceeds the {a} available parts")
+    kept = a + t_rho
+    arr = list(nu_parts[:kept])
+    zeros = min(kept - len(arr), rho_parts[0] + t_rho) if rho_parts else 0
+    mu_parts = []
+    for s in reversed(rho_parts):
+        if not 0 <= s < len(arr) + zeros:
+            raise ValueError(f"slide count {s} is inconsistent with {nu!r}")
+        if s < zeros:
+            zeros -= 1
+            mu_parts.append(s)
+        else:
+            mu_parts.append(arr.pop(len(arr) + zeros - 1 - s) + s)
+    mu_parts.reverse()
+    mu_parts += nu_parts[kept:]
+    previous = mu_parts[0] if mu_parts else 0
+    for value in mu_parts:
+        if value > previous:
+            shown = str(mu_parts)[:-1] + ", 0" * (b - len(mu_parts)) + "]"
+            raise ValueError(f"trace does not reverse to a partition: recovered {shown}")
+        previous = value
+    return Partition._trusted(tuple(arr)), Partition._trusted(tuple(mu_parts))
 
 
 class TestBBijection:

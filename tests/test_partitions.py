@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,10 +18,12 @@ class TestPartitionConstruction:
     def test_basic(self):
         p = Partition((2, 2, 1))
         assert p.n == 5 and p.t == 3
+        assert Partition([2, 2, 1]).parts == (2, 2, 1)
 
     def test_empty(self):
         p = Partition(())
         assert p.n == 0 and p.t == 0
+        assert Partition() == p
 
     def test_order_violation_names_index(self):
         with pytest.raises(ValueError, match="part 1"):
@@ -33,9 +37,23 @@ class TestPartitionConstruction:
 
     def test_immutable_and_hashable(self):
         p = P(3, 1)
-        with pytest.raises(Exception):
+        with pytest.raises(FrozenInstanceError):
             p.parts = (4,)
+        with pytest.raises(FrozenInstanceError):
+            p.extra = 1
+        with pytest.raises(FrozenInstanceError):
+            del p.parts
+        assert not hasattr(p, "__dict__")
         assert hash(p) == hash(P(3, 1))
+
+    def test_trusted_matches_validated(self):
+        # _trusted skips the checks but must build the same value
+        for n in range(13):
+            for parts in iter_partition_tuples(n):
+                trusted, checked = Partition._trusted(parts), Partition(parts)
+                assert trusted == checked, parts
+                assert hash(trusted) == hash(checked), parts
+                assert repr(trusted) == repr(checked), parts
 
 
 class TestConjugate:
