@@ -89,16 +89,16 @@ class Series:
         """Multiply by q^m; offset and order move together, so nothing is lost."""
         return Series.make(self.coeffs, self.order + m, offset=self.offset + m)
 
+    @classmethod
+    def sum(cls, terms) -> "Series":
+        """The sum of one or more series, exact up to the lowest order: one dense list."""
+        terms = tuple(terms)
+        offset, order = min(t.offset for t in terms), min(t.order for t in terms)
+        return cls.make(_nested_sum(offset, order, ((t.offset, t.coeffs, 0) for t in terms)),
+                        order, offset=offset)
+
     def __add__(self, other: "Series") -> "Series":
-        order = min(self.order, other.order)
-        offset = min(self.offset, other.offset)
-        dense = [0] * (order - offset + 1)
-        for src in (self, other):
-            for i, c in enumerate(src.coeffs):
-                e = src.offset + i
-                if e <= order:
-                    dense[e - offset] += c
-        return Series.make(dense, order, offset=offset)
+        return Series.sum((self, other))
 
     def __neg__(self) -> "Series":
         return Series.make([-c for c in self.coeffs], self.order, offset=self.offset)
@@ -189,8 +189,8 @@ def _nested_sum(base: int, order: int, terms) -> list[int]:
     # builds over the (e, poly, b) of terms in turn, b = 0 dividing by nothing:
     # given from the last index down, a sum of q^(e_i) B_i over a product that
     # gains a factor (1 - q^(b_i)) past each index i, in Horner form, so each
-    # factor divides the running sum once. Every e is at least base; poly is
-    # cut at the order
+    # factor divides the running sum once. Every e is at least base; a poly
+    # may run past the order, and what runs past is dropped
     total = [0] * (order - base + 1)
     low = len(total)  # total is zero below q^(base + low)
     for e, poly, b in terms:
@@ -202,11 +202,12 @@ def _nested_sum(base: int, order: int, terms) -> list[int]:
     return total
 
 
-def _binomials_down(a: int, b: int, cuts: list[int]):
-    # [a over b]_q, [a-1 over b]_q, ... (0 <= b <= a), one per cut, the i-th
-    # exact on at least its first cuts[i] coefficients; each is carried from the
-    # one above on the longest cut still to come, which the caller keeps at most
-    # one past the binomial's degree b(a-b), so no list outgrows its polynomial
+def _binomials_down(a: int, b: int, exponents: list[int], order: int):
+    # [a over b]_q, [a-1 over b]_q, ... (0 <= b <= a), the i-th for the term at
+    # q^exponents[i], exact on its q^0 .. q^(order - exponents[i]); each is cut
+    # at its degree b(a-i-b) or at the order, and carried from the one above on
+    # the longest cut still to come, so no list outgrows its polynomial
+    cuts = [min(b * (a - i - b), order - e) + 1 for i, e in enumerate(exponents)]
     widths = list(itertools.accumulate(reversed(cuts), max))
     poly = _ratio(widths.pop(), range(a - b + 1, a + 1), range(1, b + 1))
     yield poly
@@ -318,8 +319,7 @@ def gf_h_fixed_part_k(h: int, k: int, order: int) -> Series:
         return Series.zero(order)
     indices = range(s0 + (order - base) // (k + 1), s0 - 1, -1)  # s from the last one down
     exponents = [(k + 1) * (s - 1) + h + 1 for s in indices]
-    cuts = [min((k - 1) * (s + h - k), order - e) + 1 for s, e in zip(indices, exponents)]
-    binomials = _binomials_down(indices[0] + h - 1, k - 1, cuts)
+    binomials = _binomials_down(indices[0] + h - 1, k - 1, exponents, order)
     # the term of s + 1 has one more factor 1/(1 - q^s) than that of s
     dense = _nested_sum(base, order, zip(exponents, binomials, indices))
     _scale(dense, downs=range(1, s0))  # 1/(q)_{s0-1}, shared by every term
@@ -350,8 +350,7 @@ def gf_M_k(k: int, order: int) -> Series:
         return Series.zero(order)
     indices = range(k + (order - base) // (k + 1), k - 1, -1)  # n from the last one down
     exponents = [k * (k - 1) // 2 + (k + 1) * n for n in indices]
-    cuts = [min((k - 1) * (n - k), order - e) + 1 for n, e in zip(indices, exponents)]
-    binomials = _binomials_down(indices[0] - 1, k - 1, cuts)
+    binomials = _binomials_down(indices[0] - 1, k - 1, exponents, order)
     # the term of n + 1 has one more factor 1/(1 - q^(n+1)) than that of n
     dense = _nested_sum(base, order, zip(exponents, binomials, (n + 1 for n in indices)))
     _scale(dense, downs=range(1, k + 1))  # 1/(q)_k, shared by every term
@@ -427,16 +426,13 @@ def gf_first_column_k_hooks(k: int, order: int) -> Series:
 
 # -- pentagonal number machinery ---------------------------------------------
 
-def pentagonal_exponents() -> "itertools.chain":
+def pentagonal_exponents():
     """(exponent, sign) pairs of (q)_inf = sum (-1)^j q^(j(3j-1)/2), by exponent."""
-
-    def tail():
-        for j in itertools.count(1):
-            sign = -1 if j % 2 else 1
-            yield j * (3 * j - 1) // 2, sign
-            yield j * (3 * j + 1) // 2, sign
-
-    return itertools.chain([(0, 1)], tail())
+    yield 0, 1
+    for j in itertools.count(1):
+        sign = -1 if j % 2 else 1
+        yield j * (3 * j - 1) // 2, sign
+        yield j * (3 * j + 1) // 2, sign
 
 
 def pentagonal_series(order: int) -> Series:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -95,15 +94,11 @@ def _axis(name: str, value: int | None) -> tuple[int, ...]:
 
 
 def _series_values(s: series.Series, nmax: int) -> dict[int, int]:
+    """The coefficients of q^0 .. q^nmax: every series side is read here, and a
+    counting series has no term below q^0, which this read would drop."""
+    if s.offset < 0:
+        raise InvariantError(f"a series starts at q^{s.offset}, below q^0")
     return dict(enumerate(s.coefficients(0, nmax)))
-
-
-def _add_into(total: list[int], s: series.Series) -> None:
-    """Add s into total, the coefficients of a sum from q^0 up to its order, where s is cut."""
-    if s.offset < 0:  # it would index total from its end
-        raise InvariantError(f"a resummed term starts at q^{s.offset}, below q^0")
-    end = s.offset + len(s.coeffs)
-    total[s.offset : end] = map(operator.add, total[s.offset : end], s.coeffs)
 
 
 @dataclass(frozen=True)
@@ -289,11 +284,11 @@ def _verify_thm42(nmax: int, order: int, h, k) -> Iterator[Cell]:
     for hv in _axis("h", h):
         counts = oracle.count_fixed_hooks(hv, nmax).values
         coeffs = _series_values(series.gf_all_h_fixed(hv, order), order)
-        # aggregation: the part-size refinement resums to the same series, through the order
-        total = [0] * (order + 1)
-        for kv in range(1, order + 1):
-            _add_into(total, series.gf_h_fixed_part_k(hv, kv, order))
-        checks = [(counts, [coeffs], ""), (coeffs, [dict(enumerate(total))], note)]
+        # aggregation: the part-size refinement resums to the same series, through the order;
+        # the zero series keeps the sum's order when no k is within it
+        parts = (series.gf_h_fixed_part_k(hv, kv, order) for kv in range(1, order + 1))
+        total = _series_values(series.Series.sum((series.Series.zero(order), *parts)), order)
+        checks = [(counts, [coeffs], ""), (coeffs, [total], note)]
         yield {"h": hv}, checks, note
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hooklab import InvariantError, Partition, cli, mex_map
+from hooklab import InvariantError, Partition, Series, cli, mex_map, series
 from hooklab.cli import MAX_B_WEIGHT, main
 from hooklab.partitions import MAX_ENUMERATION_WEIGHT
 from hooklab.verify import MAX_SEQ_NMAX, MAX_VERIFY_ORDER, STATISTICS, THEOREM_IDS, check_bounds
@@ -284,6 +284,18 @@ class TestStatisticTable:
             assert data["params"] == point
             values = {int(n): count for n, count in data["values"].items()}
             assert values == stat.oracle_values(point, 12), point
+
+    @pytest.mark.parametrize("name", list(STATISTICS))
+    def test_series_below_q0_is_an_invariant_error(self, capsys, monkeypatch, name):
+        # a constructor that gains a q^-1 term is refused, not exported from q^0 on
+        stat = STATISTICS[name]
+        constructor = getattr(series, stat.series)
+        monkeypatch.setattr(series, stat.series,
+                            lambda *args: constructor(*args) + Series.monomial(-1, args[-1]))
+        point = stat.grid(h=0, k=2)[0]
+        flags = [arg for param, value in point.items() for arg in (f"--{param}", str(value))]
+        code, out, err = run(capsys, "seq", name, *flags, "--nmax", "12")
+        assert (code, out, err) == (2, "", "error: a series starts at q^-1, below q^0\n")
 
     def test_default_grid_bfiles_are_byte_identical(self, capsys):
         nmax = SEQ_DIGESTS["nmax"]

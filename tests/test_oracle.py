@@ -102,6 +102,10 @@ class TestMexCounts:
             single = count_mex_class(k, 15)
             assert multi[k].values == single.values
 
+    def test_multi_refuses_a_mex_below_one(self):
+        with pytest.raises(ValueError, match=r"mex values must be >= 1, got \(0, 2\)"):
+            count_mex_class_multi((0, 2), 10)
+
     def test_generalized_reduces_to_M_at_minus_one(self):
         for k in (1, 2, 3):
             a = count_generalized_mex(-1, k, 18)

@@ -769,6 +769,34 @@ class TestProductDifferential:
             assert (new.offset, new.order, new.coeffs) == (old.offset, old.order, old.coeffs)
 
 
+# -- the per-coefficient addition that Series.sum replaced -------------------
+
+def _loop_add(self, other):
+    order = min(self.order, other.order)
+    offset = min(self.offset, other.offset)
+    dense = [0] * (order - offset + 1)
+    for src in (self, other):
+        for i, c in enumerate(src.coeffs):
+            e = src.offset + i
+            if e <= order:
+                dense[e - offset] += c
+    return Series.make(dense, order, offset=offset)
+
+
+class TestSumDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.one_of(any_series_st, wide_series_st), min_size=1, max_size=6))
+    # terms that run past the lowest order, one of them wholly
+    @example([Series.make([1, 2, 3], 9, offset=-3), Series.make([4], 0), Series.make([5], 7, 2)])
+    # every term starts below q^0, and the orders are negative
+    @example([Series.make([1, -1], -2, offset=-4), Series.make([2], -3, offset=-5)])
+    @example([Series.zero(4)])
+    def test_same_series_as_the_folded_loop_add(self, terms):
+        old = functools.reduce(_loop_add, terms)
+        for new in (Series.sum(terms), functools.reduce(operator.add, terms)):
+            assert (new.offset, new.order, new.coeffs) == (old.offset, old.order, old.coeffs)
+
+
 # -- the per-exponent reads and the cached recurrence that one slice and one
 # grow-only list replaced ---------------------------------------------------
 

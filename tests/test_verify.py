@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -44,6 +45,10 @@ SIDES = [
     ("pentagonal-truncation", series, "truncated_pentagonal"),
 ]
 
+# the SIDES entries whose constructor returns a Series; truncated_pentagonal
+# returns one coefficient
+SERIES_SIDES = [(theorem, name) for theorem, module, name in SIDES
+                if module is series and name != "truncated_pentagonal"]
 
 # the exit code and stdout of `verify` with one side off by one: each SIDES
 # entry at n = 3, and the two sides of thm3.3's stated n = 0 exception
@@ -96,6 +101,14 @@ class TestReports:
             assert report.ok
             assert report.cells
 
+    @pytest.mark.parametrize("theorem", [t for t in verify_mod.THEOREM_IDS
+                                         if t != "pentagonal-truncation"])  # stated for n >= 1
+    def test_order_zero(self, theorem):
+        # thm4.2 sums no part-size term at order 0, only the zero series
+        report = verify_theorem(theorem, nmax=0, order=0)
+        assert report.ok
+        assert report.cells
+
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="unknown theorem id"):
             verify_theorem("thm0.0")
@@ -137,14 +150,20 @@ class TestReports:
         assert not data["ok"]
         assert data["cells"][0]["first_divergence"] == {"n": 1, "expected": 0, "actual": 1}
 
-    @pytest.mark.parametrize("theorem, name", [("thm4.2", "gf_h_fixed_part_k")])
-    def test_resummed_term_below_q0_raises(self, monkeypatch, theorem, name):
-        # the part-size resummation adds its terms into a list anchored at q^0
+    @pytest.mark.parametrize("theorem, name", SERIES_SIDES)
+    def test_resummed_term_below_q0_raises(self, monkeypatch, capsys, theorem, name):
+        # every series side is read from q^0, which would drop a term below it;
+        # prop2.2 multiplies two Pochhammers, so its q^-1 terms meet at q^-2
         term = getattr(series, name)
         monkeypatch.setattr(series, name,
                             lambda *args: term(*args) + Series.monomial(-1, args[-1]))
-        with pytest.raises(InvariantError, match="starts at q\\^-1, below q\\^0"):
+        offset = -2 if name == "inv_finite_pochhammer" else -1
+        message = f"starts at q^{offset}, below q^0"
+        with pytest.raises(InvariantError, match=re.escape(message)):
             verify_theorem(theorem, nmax=8, order=16)
+        assert main(["verify", theorem, "--nmax", "8", "--order", "16"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
 
     @pytest.mark.parametrize("theorem, name", [
         ("thm2.1", "gf_fixed_hooks_double_sum"),
