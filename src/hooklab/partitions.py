@@ -101,7 +101,15 @@ class Partition:
 
     def find_h_fixed_hook(self, h: int) -> FixedHookReport | None:
         """The unique position s with hook length s + h in column 1, if any."""
-        return find_fixed_hook(self.parts, h)
+        parts = self.parts
+        t = len(parts)
+        for s in range(1, t + 1):
+            diff = parts[s - 1] + t - 2 * s  # hook minus position; strictly decreasing in s
+            if diff == h:
+                return FixedHookReport(s, parts[s - 1] + t - s, parts[s - 1])
+            if diff < h:
+                return None
+        return None
 
     def find_h_fixed_point(self, h: int) -> int | None:
         """The position i with parts[i] == i + h, if any (parts[i] - i is strictly decreasing)."""
@@ -115,7 +123,13 @@ class Partition:
 
     def mex(self) -> int:
         """Least positive integer that is not a part."""
-        return mex_of(self.parts)
+        m = 1
+        for value in reversed(self.parts):  # nonincreasing, so the small parts come first
+            if value == m:
+                m += 1
+            elif value > m:
+                break
+        return m
 
     def multiplicity(self, i: int) -> int:
         """Number of parts equal to i."""
@@ -135,29 +149,6 @@ class Partition:
 # The slot's own setter.  It skips the frozen __setattr__ as
 # object.__setattr__ does, at about half the cost per call.
 _set_parts = Partition.parts.__set__
-
-
-def find_fixed_hook(parts: tuple[int, ...], h: int) -> FixedHookReport | None:
-    """(position, hook, part) of the h-fixed first-column hook of raw parts, if any."""
-    t = len(parts)
-    for s in range(1, t + 1):
-        diff = parts[s - 1] + t - 2 * s  # hook minus position; strictly decreasing in s
-        if diff == h:
-            return FixedHookReport(s, parts[s - 1] + t - s, parts[s - 1])
-        if diff < h:
-            return None
-    return None
-
-
-def mex_of(parts: tuple[int, ...]) -> int:
-    """Least positive integer that is not among the nonincreasing raw parts."""
-    m = 1
-    for value in reversed(parts):
-        if value == m:
-            m += 1
-        elif value > m:
-            break
-    return m
 
 
 def check_weight(n: int) -> None:

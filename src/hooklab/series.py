@@ -21,6 +21,8 @@ import itertools
 import operator
 from dataclasses import dataclass
 
+from .partitions import InvariantError
+
 
 class TruncationError(ValueError):
     """Raised when a coefficient beyond the tracked order is requested."""
@@ -89,16 +91,11 @@ class Series:
         """Multiply by q^m; offset and order move together, so nothing is lost."""
         return Series.make(self.coeffs, self.order + m, offset=self.offset + m)
 
-    @classmethod
-    def sum(cls, terms) -> "Series":
-        """The sum of one or more series, exact up to the lowest order: one dense list."""
-        terms = tuple(terms)
-        offset, order = min(t.offset for t in terms), min(t.order for t in terms)
-        return cls.make(_nested_sum(offset, order, ((t.offset, t.coeffs, 0) for t in terms)),
-                        order, offset=offset)
-
     def __add__(self, other: "Series") -> "Series":
-        return Series.sum((self, other))
+        """The sum, exact up to the lower order: one dense list from the lower offset."""
+        offset, order = min(self.offset, other.offset), min(self.order, other.order)
+        terms = ((t.offset, t.coeffs, 0) for t in (self, other))
+        return Series.make(_nested_sum(offset, order, terms), order, offset=offset)
 
     def __neg__(self) -> "Series":
         return Series.make([-c for c in self.coeffs], self.order, offset=self.offset)
@@ -189,11 +186,13 @@ def _nested_sum(base: int, order: int, terms) -> list[int]:
     # builds over the (e, poly, b) of terms in turn, b = 0 dividing by nothing:
     # given from the last index down, a sum of q^(e_i) B_i over a product that
     # gains a factor (1 - q^(b_i)) past each index i, in Horner form, so each
-    # factor divides the running sum once. Every e is at least base; a poly
-    # may run past the order, and what runs past is dropped
+    # factor divides the running sum once. Every e is at least base, or this
+    # raises; a poly may run past the order, and what runs past is dropped
     total = [0] * (order - base + 1)
     low = len(total)  # total is zero below q^(base + low)
     for e, poly, b in terms:
+        if e < base:
+            raise InvariantError(f"a term starts at q^{e}, below q^{base}")
         if b:
             _divide(total, b, low)
         e -= base
@@ -324,6 +323,16 @@ def gf_h_fixed_part_k(h: int, k: int, order: int) -> Series:
     dense = _nested_sum(base, order, zip(exponents, binomials, indices))
     _scale(dense, downs=range(1, s0))  # 1/(q)_{s0-1}, shared by every term
     return Series.make(dense, order, offset=base)
+
+
+def gf_h_fixed_part_sum(h: int, order: int) -> Series:
+    """Partitions with an h-fixed hook, resummed over the part k at the hook.
+
+    sum_{k>=1} gf_h_fixed_part_k(h, k), each term added to one list and dropped
+    before the next is built; gf_h_fixed_part_k is looked up at call time.
+    """
+    parts = (gf_h_fixed_part_k(h, k, order) for k in range(1, order + 1))
+    return Series.make(_nested_sum(0, order, ((s.offset, s.coeffs, 0) for s in parts)), order)
 
 
 def gf_ones_shifted(h: int, order: int) -> Series:

@@ -36,12 +36,7 @@ from hooklab.oracle import (
     partition_counts,
     partitions_of,
 )
-from hooklab.partitions import (
-    MAX_ENUMERATION_WEIGHT,
-    find_fixed_hook,
-    iter_partition_tuples,
-    mex_of,
-)
+from hooklab.partitions import MAX_ENUMERATION_WEIGHT, Partition, iter_partition_tuples
 
 
 class TestFixedHookCounts:
@@ -257,7 +252,7 @@ def _whole_mex_census(parts_of_n):
     """(mex, #below - #above) counts of whole partitions, as the single-sweep census kept them."""
     census = Counter()
     for parts in parts_of_n:
-        m = mex_of(parts)
+        m = Partition._trusted(parts).mex()
         below = 0
         for value in reversed(parts):
             if value > m:
@@ -335,7 +330,8 @@ class TestPrefixSplitDifferential:
 
     def test_fixed_hook_census(self, partitions):
         for h in range(-8, 9):
-            whole = [Counter(find_fixed_hook(parts, h) for parts in partitions[n])
+            whole = [Counter(Partition._trusted(parts).find_h_fixed_hook(h)
+                             for parts in partitions[n])
                      for n in range(self.N + 1)]
             for census in whole:
                 del census[None]

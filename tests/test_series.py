@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hooklab import (
+    InvariantError,
     Series,
     TruncationError,
     count_generalized_mex,
@@ -28,7 +29,7 @@ from hooklab import (
     truncated_pentagonal,
 )
 from hooklab.oracle import partitions_of
-from hooklab.series import _ratio, _scale, pentagonal_exponents
+from hooklab.series import _nested_sum, _ratio, _scale, gf_h_fixed_part_sum, pentagonal_exponents
 
 N = 60
 
@@ -725,6 +726,35 @@ class TestHSumDifferential:
             assert _outcome(gf_hook_k_all_h, k, order) == _outcome(_per_h_hook_k_all_h, k, order), k
 
 
+# -- the fold by + that gf_h_fixed_part_sum replaced in verify thm4.2 ---------
+
+def _folded_part_sum(h, order):
+    parts = (gf_h_fixed_part_k(h, k, order) for k in range(1, order + 1))
+    return functools.reduce(operator.add, parts, Series.zero(order))
+
+
+class TestPartSumDifferential:
+    @pytest.mark.parametrize("order", [*range(0, 41), 97, 250])
+    def test_same_series_or_error_as_the_folded_sum(self, order):
+        for h in range(-7, 7):
+            assert _outcome(gf_h_fixed_part_sum, h, order) == _outcome(_folded_part_sum, h, order), h
+
+    # h near order / 2: a term for each k up to about h, each some order - h long
+    @pytest.mark.parametrize("h, order", [(50, 120), (150, 300)])
+    def test_same_series_at_h_near_half_the_order(self, h, order):
+        assert gf_h_fixed_part_sum(h, order) == _folded_part_sum(h, order)
+
+
+class TestNestedSum:
+    def test_a_term_below_the_base_raises(self):
+        # it would land at a negative index, where the slice is empty and the
+        # term is dropped
+        with pytest.raises(InvariantError, match=r"a term starts at q\^-1, below q\^0"):
+            _nested_sum(0, 5, [(-1, [7, 8, 9], 0)])
+        with pytest.raises(InvariantError, match=r"a term starts at q\^2, below q\^3"):
+            _nested_sum(3, 9, [(4, [1], 1), (2, [1], 0)])
+
+
 # -- the schoolbook product that Kronecker substitution replaced -------------
 
 def _schoolbook_mul(self, other):
@@ -769,7 +799,7 @@ class TestProductDifferential:
             assert (new.offset, new.order, new.coeffs) == (old.offset, old.order, old.coeffs)
 
 
-# -- the per-coefficient addition that Series.sum replaced -------------------
+# -- the per-coefficient addition that _nested_sum replaced in Series.__add__ -
 
 def _loop_add(self, other):
     order = min(self.order, other.order)
@@ -793,8 +823,8 @@ class TestSumDifferential:
     @example([Series.zero(4)])
     def test_same_series_as_the_folded_loop_add(self, terms):
         old = functools.reduce(_loop_add, terms)
-        for new in (Series.sum(terms), functools.reduce(operator.add, terms)):
-            assert (new.offset, new.order, new.coeffs) == (old.offset, old.order, old.coeffs)
+        new = functools.reduce(operator.add, terms)
+        assert (new.offset, new.order, new.coeffs) == (old.offset, old.order, old.coeffs)
 
 
 # -- the per-exponent reads and the cached recurrence that one slice and one

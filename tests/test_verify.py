@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,7 @@ SIDES = [
     ("thm4.1", series, "gf_h_fixed_hook_k"),
     ("thm4.2", oracle, "count_fixed_hooks"),
     ("thm4.2", series, "gf_all_h_fixed"),
-    ("thm4.2", series, "gf_h_fixed_part_k"),
+    ("thm4.2", series, "gf_h_fixed_part_sum"),
     ("thm4.3", oracle, "count_first_column_k_hooks"),
     ("thm4.3", series, "gf_first_column_k_hooks"),
     ("thm4.3", series, "gf_hook_k_all_h"),
@@ -51,7 +52,8 @@ SERIES_SIDES = [(theorem, name) for theorem, module, name in SIDES
                 if module is series and name != "truncated_pentagonal"]
 
 # the exit code and stdout of `verify` with one side off by one: each SIDES
-# entry at n = 3, and the two sides of thm3.3's stated n = 0 exception
+# entry at n = 3, thm4.2's part terms at n = 3, which reach the report through
+# gf_h_fixed_part_sum, and the two sides of thm3.3's stated n = 0 exception
 MISMATCHES = json.loads((Path(__file__).parent / "data" / "verify_mismatches.json").read_text())
 MODULES = {"oracle": oracle, "series": series}
 
@@ -104,7 +106,7 @@ class TestReports:
     @pytest.mark.parametrize("theorem", [t for t in verify_mod.THEOREM_IDS
                                          if t != "pentagonal-truncation"])  # stated for n >= 1
     def test_order_zero(self, theorem):
-        # thm4.2 sums no part-size term at order 0, only the zero series
+        # thm4.2's part-size sum has no term at order 0
         report = verify_theorem(theorem, nmax=0, order=0)
         assert report.ok
         assert report.cells
@@ -150,7 +152,8 @@ class TestReports:
         assert not data["ok"]
         assert data["cells"][0]["first_divergence"] == {"n": 1, "expected": 0, "actual": 1}
 
-    @pytest.mark.parametrize("theorem, name", SERIES_SIDES)
+    # thm4.2's part terms are not a side: gf_h_fixed_part_sum adds them from q^0
+    @pytest.mark.parametrize("theorem, name", [*SERIES_SIDES, ("thm4.2", "gf_h_fixed_part_k")])
     def test_resummed_term_below_q0_raises(self, monkeypatch, capsys, theorem, name):
         # every series side is read from q^0, which would drop a term below it;
         # prop2.2 multiplies two Pochhammers, so its q^-1 terms meet at q^-2
@@ -168,7 +171,7 @@ class TestReports:
     @pytest.mark.parametrize("theorem, name", [
         ("thm2.1", "gf_fixed_hooks_double_sum"),
         ("thm2.1", "gf_fixed_hooks_simplified"),
-        ("thm4.2", "gf_h_fixed_part_k"),
+        ("thm4.2", "gf_h_fixed_part_sum"),
         ("thm4.3", "gf_hook_k_all_h"),
     ])
     def test_series_identities_are_compared_through_the_order(self, monkeypatch, theorem, name):
@@ -179,6 +182,23 @@ class TestReports:
         report = verify_theorem(theorem, nmax=nmax, order=order)
         found = [cell.first_divergence and cell.first_divergence[0] for cell in report.cells]
         assert found == [nmax + 1] * len(report.cells)
+
+    def test_thm42_holds_at_most_two_part_terms(self, monkeypatch):
+        # each part-size term is added to the sum and dropped before the next
+        # is built, so one term and the one being built are all that live
+        part, terms, most = series.gf_h_fixed_part_k, [], 0
+
+        def tracked(*args):
+            nonlocal most
+            term = part(*args)
+            terms.append(weakref.ref(term))
+            most = max(most, sum(ref() is not None for ref in terms))
+            return term
+
+        monkeypatch.setattr(series, "gf_h_fixed_part_k", tracked)
+        assert main(["verify", "thm4.2", "--h", "5", "--order", "40"]) == 0
+        assert len(terms) == 40
+        assert most <= 2
 
     def test_every_side_has_a_pinned_mismatch(self):
         pinned = [(case["argv"], case["side"], case["n"]) for case in MISMATCHES]
