@@ -14,7 +14,7 @@ the part vanishes but its slides remain on record.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .partitions import InvariantError, Partition
 
@@ -123,17 +123,8 @@ def f_inverse(a: int, b: int, nu: Partition, rho: Partition) -> tuple[Partition,
     return Partition._trusted(tuple(arr)), Partition._trusted(tuple(mu_parts))
 
 
-class BSteps(NamedTuple):
-    """One application of B: its decomposition, the rectangle step, and the image."""
-
-    k: int
-    tau: Partition
-    epsilon_prime: Partition
-    gamma: Partition
-    rho: Partition
-    rho_rows: Partition
-    mu: Partition
-    s: int
+BSteps = namedtuple("BSteps", "k tau epsilon_prime gamma rho rho_rows mu s")
+BSteps.__doc__ = "One application of B: its decomposition, the rectangle step, and the image."
 
 
 def b_steps(lam: Partition, i: int) -> BSteps:

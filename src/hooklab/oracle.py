@@ -30,10 +30,9 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from collections.abc import Callable, Iterator
 
-from .partitions import check_weight, iter_partition_tuples
+from .partitions import Record, check_weight, iter_partition_tuples
 
 
 def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
@@ -42,11 +41,11 @@ def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
     return iter_partition_tuples(n)
 
 
-@dataclass
-class CountTable:
+class CountTable(Record):
     """Exact counts of one statistic, for every n in a contiguous range."""
 
-    values: dict[int, int]
+    def __init__(self, values: dict[int, int]) -> None:
+        self.values = values
 
     def __getitem__(self, n: int) -> int:
         return self.values[n]

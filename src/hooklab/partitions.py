@@ -13,8 +13,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 # Enumeration guard: exhaustive generation beyond this weight is the wrong
 # tool (p(n) grows superpolynomially); the series side covers larger n.
@@ -27,23 +27,49 @@ class InvariantError(Exception):
     """A construction produced a result that breaks one of its stated invariants."""
 
 
-class FixedHookReport(NamedTuple):
-    """A detected h-fixed hook: hook == part + t - position == position + h."""
-
-    position: int
-    hook: int
-    part: int
+FixedHookReport = namedtuple("FixedHookReport", "position hook part")
+FixedHookReport.__doc__ = "A detected h-fixed hook: hook == part + t - position == position + h."
 
 
-@dataclass(frozen=True, init=False)
-class Partition:
+# The value classes below and in the other modules are written by hand, not by
+# @dataclass: importing dataclasses loads inspect, ast and dis, about 12 of the
+# 29 ms that importing hooklab.cli took on CPython 3.11 (DECISIONS.md section 29).
+
+class Frozen:
+    """Refuses to set or delete an attribute, as a frozen dataclass does; the
+    FrozenInstanceError it raises is imported only when it is raised."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Record:
+    """== and repr over the attributes that __init__ sets, in order, as @dataclass writes them.
+
+    Defining __eq__ leaves a Record unhashable, as a dataclass that is not frozen is.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return tuple(vars(self).values()) == tuple(vars(other).values())
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Partition(Frozen):
     """An integer partition; immutable and hashable."""
 
-    # A hand-written slot, not slots=True: the class slots=True rebuilds keeps
-    # a frozen __setattr__ bound to the old class, so setting a new attribute
-    # raises TypeError instead of FrozenInstanceError.
-    __slots__ = ("parts",)
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)  # no __dict__ and no __weakref__
 
     def __init__(self, parts: Iterable[int] = ()) -> None:
         parts = tuple(parts)
@@ -73,6 +99,14 @@ class Partition:
     def t(self) -> int:
         """Number of parts."""
         return len(self.parts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     def __repr__(self) -> str:
         return f"Partition({list(self.parts)})"
@@ -146,8 +180,8 @@ class Partition:
         return list(self.parts)
 
 
-# The slot's own setter.  It skips the frozen __setattr__ as
-# object.__setattr__ does, at about half the cost per call.
+# The slot's own setter.  It skips Frozen.__setattr__ as object.__setattr__
+# does, at about half the cost per call.
 _set_parts = Partition.parts.__set__
 
 

@@ -19,22 +19,39 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 
-from .partitions import InvariantError
+from .partitions import Frozen, InvariantError
 
 
 class TruncationError(ValueError):
     """Raised when a coefficient beyond the tracked order is requested."""
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(Frozen):
     """Truncated Laurent series with exact integer coefficients."""
 
-    offset: int
-    order: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("offset", "order", "coeffs", "__weakref__")
+
+    def __init__(self, offset: int, order: int, coeffs: tuple[int, ...]) -> None:
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.offset, self.order, self.coeffs)
+                    == (other.offset, other.order, other.coeffs))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.offset, self.order, self.coeffs))
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(offset={self.offset!r}, order={self.order!r}, "
+                f"coeffs={self.coeffs!r})")
+
+    def __reduce__(self):  # copy and pickle call __init__, as Frozen refuses their setattr
+        return Series, (self.offset, self.order, self.coeffs)
 
     @classmethod
     def make(cls, coeffs, order: int, offset: int = 0) -> "Series":

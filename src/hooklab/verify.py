@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from collections.abc import Callable, Iterator
 
 from . import oracle, series
-from .partitions import InvariantError, check_weight
+from .partitions import Frozen, InvariantError, Record, check_weight
 
 DEFAULT_NMAX = 30
 DEFAULT_ORDER = 60
@@ -32,12 +31,13 @@ MAX_VERIFY_ORDER = 2000
 MAX_SEQ_NMAX = 10000
 
 
-@dataclass
-class CellResult:
-    params: dict[str, int]
-    status: str  # "match" or "mismatch"
-    first_divergence: tuple[int, int, int] | None = None  # (n, expected, actual)
-    note: str = ""
+class CellResult(Record):
+    def __init__(self, params: dict[str, int], status: str,
+                 first_divergence: tuple[int, int, int] | None = None, note: str = "") -> None:
+        self.params = params
+        self.status = status  # "match" or "mismatch"
+        self.first_divergence = first_divergence  # (n, expected, actual)
+        self.note = note
 
     def to_json_dict(self) -> dict:
         data: dict = {"params": self.params, "status": self.status}
@@ -49,12 +49,13 @@ class CellResult:
         return data
 
 
-@dataclass
-class VerificationReport:
-    theorem: str
-    nmax: int
-    order: int
-    cells: list[CellResult] = field(default_factory=list)
+class VerificationReport(Record):
+    def __init__(self, theorem: str, nmax: int, order: int,
+                 cells: list[CellResult] | None = None) -> None:
+        self.theorem = theorem
+        self.nmax = nmax
+        self.order = order
+        self.cells = [] if cells is None else cells
 
     @property
     def ok(self) -> bool:
@@ -101,21 +102,25 @@ def _series_values(s: series.Series, nmax: int) -> dict[int, int]:
     return dict(enumerate(s.coefficients(0, nmax)))
 
 
-@dataclass(frozen=True)
-class Statistic:
+class Statistic(Frozen, Record):
     """A counting statistic: its parameters in output order, and the names of
     its series constructor and its oracle counter.
 
     The two functions are looked up on the :mod:`series` and :mod:`oracle`
     modules at call time, so wrappers or test doubles installed there apply.
+    series_args are the leading constructor arguments that are not parameters,
+    and domain names, in errors, the condition that admits() tests.
     """
 
-    params: tuple[str, ...]
-    series: str
-    counter: str
-    series_args: tuple[int, ...] = ()  # leading constructor arguments that are not parameters
-    domain: str = ""  # the condition admits() tests, named in errors
-    admits: Callable[..., bool] = lambda **point: True
+    def __init__(self, params: tuple[str, ...], series: str, counter: str,
+                 series_args: tuple[int, ...] = (), domain: str = "",
+                 admits: Callable[..., bool] = lambda **point: True) -> None:
+        # set in the instance's __dict__, which Frozen.__setattr__ would refuse
+        vars(self).update(params=params, series=series, counter=counter,
+                          series_args=series_args, domain=domain, admits=admits)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
 
     def grid(self, h: int | None = None, k: int | None = None) -> list[dict[str, int]]:
         """Points of the default grid, or of the given h and k, inside the domain."""
