@@ -111,6 +111,9 @@ class Partition(Frozen):
     def __repr__(self) -> str:
         return f"Partition({list(self.parts)})"
 
+    def __reduce__(self):  # copy and pickle call __init__, as Frozen refuses their setattr
+        return Partition, (self.parts,)
+
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram: part j of the conjugate counts parts >= j."""
         if not self.parts:

@@ -78,14 +78,7 @@ class Series(Frozen):
 
     @classmethod
     def one(cls, order: int) -> "Series":
-        return cls.monomial(0, order)
-
-    @classmethod
-    def monomial(cls, exponent: int, order: int) -> "Series":
-        return cls.make([1], order, offset=exponent)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return cls.make([1], order)
 
     def coeff(self, exponent: int) -> int:
         """Exact coefficient of q^exponent; exponents above the order are unknown."""
@@ -114,15 +107,7 @@ class Series(Frozen):
         terms = ((t.offset, t.coeffs, 0) for t in (self, other))
         return Series.make(_nested_sum(offset, order, terms), order, offset=offset)
 
-    def __neg__(self) -> "Series":
-        return Series.make([-c for c in self.coeffs], self.order, offset=self.offset)
-
-    def __sub__(self, other: "Series") -> "Series":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Series.make([other * c for c in self.coeffs], self.order, offset=self.offset)
+    def __mul__(self, other: "Series") -> "Series":
         order = min(self.order + other.offset, other.order + self.offset)
         offset = self.offset + other.offset
         length = max(order - offset + 1, 0)  # the product's exact coefficients
@@ -130,8 +115,6 @@ class Series(Frozen):
         if not a or not b:
             return Series.zero(order)
         return Series.make(_kronecker(a, b, min(length, len(a) + len(b) - 1)), order, offset=offset)
-
-    __rmul__ = __mul__
 
 
 def _kronecker(a: tuple[int, ...], b: tuple[int, ...], length: int) -> list[int]:

@@ -8,7 +8,8 @@ failure can be bisected immediately.
 
 :data:`STATISTICS` pairs each sequence that ``hooklab seq`` exports with its
 series constructor and its oracle counter; Theorems 3.2 and 4.1 are exactly
-such a pair checked over a grid.
+such a pair checked over a grid, and Theorems 4.2 and 4.3 are such a pair
+plus a resummed series compared with the statistic's through the order.
 """
 
 from __future__ import annotations
@@ -189,14 +190,24 @@ def _run(params: dict[str, int], checks: list[Check], note: str) -> CellResult:
 
 # -- per-theorem verifiers: each yields its cells in grid order ---------------
 
-def _verify_statistic(name: str, nmax: int, order: int, h, k) -> Iterator[Cell]:
+def _verify_statistic(name: str, nmax: int, order: int, h, k, resummed: str = "",
+                      note: str = "") -> Iterator[Cell]:
+    """The statistic's oracle counts against its series; with resummed, the name of a
+    constructor on the same parameters, that series against the statistic's, through
+    the order."""
     stat = STATISTICS[name]
     points = stat.grid(h, k)
     if not points:
         raise ValueError(f"no point of the requested grid satisfies {stat.domain}")
     for point in points:
-        checks = [(stat.oracle_values(point, nmax), [stat.series_values(point, nmax, order)], "")]
-        yield point, checks, ""
+        counts = stat.oracle_values(point, nmax)
+        coeffs = stat.series_values(point, order, order)
+        checks = [(counts, [coeffs], "")]
+        if resummed:
+            args = (point[param] for param in stat.params)
+            other = _series_values(getattr(series, resummed)(*args, order), order)
+            checks.append((coeffs, [other], note))
+        yield point, checks, note
 
 
 def _verify_thm21(nmax: int, order: int, h, k) -> Iterator[Cell]:
@@ -284,28 +295,6 @@ def _verify_cor36(nmax: int, order: int, h, k) -> Iterator[Cell]:
         yield {"k": kv}, [(mexes, [derived, coeffs], "")], ""
 
 
-def _verify_thm42(nmax: int, order: int, h, k) -> Iterator[Cell]:
-    note = "includes part-size resummation"
-    for hv in _axis("h", h):
-        counts = oracle.count_fixed_hooks(hv, nmax).values
-        coeffs = _series_values(series.gf_all_h_fixed(hv, order), order)
-        # aggregation: the part-size refinement resums to the same series, through the order
-        resummed = _series_values(series.gf_h_fixed_part_sum(hv, order), order)
-        checks = [(counts, [coeffs], ""), (coeffs, [resummed], note)]
-        yield {"h": hv}, checks, note
-
-
-def _verify_thm43(nmax: int, order: int, h, k) -> Iterator[Cell]:
-    note = "includes h-resummation"
-    for kv in _axis("k", k):
-        counts = oracle.count_first_column_k_hooks(kv, nmax).values
-        coeffs = _series_values(series.gf_first_column_k_hooks(kv, order), order)
-        # aggregation: the hook-size refinement resums over h <= k-1 to the same series
-        resummed = _series_values(series.gf_hook_k_all_h(kv, order), order)
-        checks = [(counts, [coeffs], ""), (coeffs, [resummed], note)]
-        yield {"k": kv}, checks, note
-
-
 def _verify_pentagonal(nmax: int, order: int, h, k) -> Iterator[Cell]:
     if nmax < 1:
         raise ValueError("pentagonal-truncation is stated for n >= 1, so nmax must be >= 1")
@@ -328,8 +317,11 @@ _VERIFIERS = {
     "thm3.5": (_verify_thm35, ("h", "k")),
     "cor3.6": (_verify_cor36, ("k",)),
     "thm4.1": (functools.partial(_verify_statistic, "fixed-hooks-by-hook"), ("h", "k")),
-    "thm4.2": (_verify_thm42, ("h",)),
-    "thm4.3": (_verify_thm43, ("k",)),
+    "thm4.2": (functools.partial(_verify_statistic, "fixed-hooks", resummed="gf_h_fixed_part_sum",
+                                 note="includes part-size resummation"), ("h",)),
+    "thm4.3": (functools.partial(_verify_statistic, "first-column-k-hooks",
+                                 resummed="gf_hook_k_all_h", note="includes h-resummation"),
+               ("k",)),
     "pentagonal-truncation": (_verify_pentagonal, ("k",)),
 }
 

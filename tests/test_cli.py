@@ -291,7 +291,7 @@ class TestStatisticTable:
         stat = STATISTICS[name]
         constructor = getattr(series, stat.series)
         monkeypatch.setattr(series, stat.series,
-                            lambda *args: constructor(*args) + Series.monomial(-1, args[-1]))
+                            lambda *args: constructor(*args) + Series.make([1], args[-1], offset=-1))
         point = stat.grid(h=0, k=2)[0]
         flags = [arg for param, value in point.items() for arg in (f"--{param}", str(value))]
         code, out, err = run(capsys, "seq", name, *flags, "--nmax", "12")

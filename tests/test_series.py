@@ -31,6 +31,8 @@ from hooklab import (
 from hooklab.oracle import partitions_of
 from hooklab.series import _nested_sum, _ratio, _scale, gf_h_fixed_part_sum, pentagonal_exponents
 
+import qlists
+
 N = 60
 
 series_st = st.builds(
@@ -67,11 +69,11 @@ class TestArithmetic:
         with pytest.raises(TruncationError):
             (a * b).coeff(3)
 
-    def test_scalar_and_neg(self):
+    def test_product_takes_only_a_series(self):
         a = Series.make([1, 2], 4)
-        assert (3 * a).coefficients(0, 1) == (3, 6)
-        assert (-a).coefficients(0, 1) == (-1, -2)
-        assert (a - a).is_zero()
+        for product in (lambda: 3 * a, lambda: a * 3):
+            with pytest.raises((TypeError, AttributeError)):
+                product()
 
     @staticmethod
     def _agree(x, y):
@@ -94,15 +96,15 @@ class TestArithmetic:
     def test_shift_roundtrip(self, a, m):
         assert a.shift(m).shift(-m) == a
 
-    @given(raw_st, any_series_st, any_series_st, st.integers(-5, 5), st.integers(-3, 3))
+    @given(raw_st, any_series_st, any_series_st, st.integers(-5, 5))
     # nothing above the order is kept: make([1, 2, 3], 5, offset=8) is zero
-    @example(([1, 2, 3], 5, 8), Series.zero(5), Series.zero(5), 0, 1)
+    @example(([1, 2, 3], 5, 8), Series.zero(5), Series.zero(5), 0)
     # a zero series sits at offset 0: zero(5).shift(3) == zero(8)
-    @example(([], 5, 0), Series.zero(5), Series.zero(5), 3, 1)
-    def test_every_operation_returns_the_canonical_form(self, raw, a, b, m, c):
+    @example(([], 5, 0), Series.zero(5), Series.zero(5), 3)
+    def test_every_operation_returns_the_canonical_form(self, raw, a, b, m):
         coeffs, order, offset = raw
         results = {"make": Series.make(coeffs, order, offset=offset), "shift": a.shift(m),
-                   "neg": -a, "add": a + b, "sub": a - b, "mul": a * b, "int mul": c * a}
+                   "add": a + b, "mul": a * b}
         for name, r in results.items():
             assert r == Series.make(r.coeffs, r.order, offset=r.offset), name
 
@@ -129,13 +131,13 @@ class TestPochhammer:
     def test_tail_identity_from_sum(self):
         # sum_j q^((T+2)j)/(q)_j = 1/(q^(T+2); q)_inf for T <= 10
         for t in range(11):
-            acc = Series.zero(N)
+            acc = qlists.make([], N)
             for j in itertools.count(0):
                 e = (t + 2) * j
                 if e > N:
                     break
-                acc = acc + inv_finite_pochhammer(j, N - e).shift(e)
-            assert acc == inv_pochhammer_tail(t + 2, N)
+                acc = qlists.add(acc, qlists.shift(inv_finite_pochhammer(j, N - e), e))
+            assert qlists.of(inv_pochhammer_tail(t + 2, N)) == acc
 
 
 def _box_partitions(weight: int, rows: int, cols: int) -> int:
@@ -151,8 +153,8 @@ class TestQBinomial:
         assert q_binomial(7, 0, 10) == Series.one(10)
 
     def test_out_of_range_is_zero(self):
-        assert q_binomial(3, 5, 10).is_zero()
-        assert q_binomial(3, -1, 10).is_zero()
+        assert q_binomial(3, 5, 10) == Series.zero(10)
+        assert q_binomial(3, -1, 10) == Series.zero(10)
 
     def test_counts_box_partitions(self):
         for a in range(8):
@@ -170,8 +172,8 @@ class TestQBinomial:
         # 1/(q)_a * 1/(q)_b = 1/(q)_{a+b} * [a+b over a]_q
         for a in range(9):
             for b in range(9):
-                lhs = inv_finite_pochhammer(a, N) * inv_finite_pochhammer(b, N)
-                rhs = inv_finite_pochhammer(a + b, N) * q_binomial(a + b, a, N)
+                lhs = qlists.mul(inv_finite_pochhammer(a, N), inv_finite_pochhammer(b, N))
+                rhs = qlists.mul(inv_finite_pochhammer(a + b, N), q_binomial(a + b, a, N))
                 assert lhs == rhs, (a, b)
 
 
@@ -201,20 +203,20 @@ class TestFixedHookSeries:
         assert coeff == count_h_fixed_by_part(-1, 4, 42)[42] >= 1
 
     def test_part_sum_is_fixed_hooks(self):
-        total = Series.zero(40)
+        total = qlists.make([], 40)
         for k in range(1, 41):
-            total = total + gf_h_fixed_part_k(0, k, 40)
-        assert total == gf_fixed_hooks_simplified(40)
+            total = qlists.add(total, gf_h_fixed_part_k(0, k, 40))
+        assert qlists.of(gf_fixed_hooks_simplified(40)) == total
 
     def test_forms_agree_at_order_300(self):
         simplified = gf_fixed_hooks_simplified(300)
         assert gf_fixed_hooks_double_sum(300) == simplified == gf_all_h_fixed(0, 300)
 
     def test_part_sum_is_fixed_hooks_at_order_150(self):
-        total = Series.zero(150)
+        total = qlists.make([], 150)
         for k in range(1, 151):
-            total = total + gf_h_fixed_part_k(0, k, 150)
-        assert total == gf_fixed_hooks_simplified(150)
+            total = qlists.add(total, gf_h_fixed_part_k(0, k, 150))
+        assert qlists.of(gf_fixed_hooks_simplified(150)) == total
 
     def test_hook_k_edge_cases(self):
         assert gf_h_fixed_hook_k(0, 1, 10).coefficients(0, 10) == (0, 1) + (0,) * 9
@@ -237,13 +239,13 @@ class TestFixedHookSeries:
 
     def test_all_h_minus_one_is_shifted_M_sum(self):
         # the inner sum at h = -1 is q^(-C(l,2)) M_l(q)
-        total = Series.zero(N)
+        total = qlists.make([], N)
         for l in range(1, 11):
             c2 = l * (l - 1) // 2
             if l * (l + 1) > N:
                 break
-            total = total + gf_M_k(l, N + c2).shift(-c2)
-        assert total.coefficients(0, N) == gf_all_h_fixed(-1, N).coefficients(0, N)
+            total = qlists.add(total, qlists.shift(gf_M_k(l, N + c2), -c2))
+        assert qlists.of(gf_all_h_fixed(-1, N)) == total
 
     def test_hook_k_all_h_is_theorem_43(self):
         # the h-sum of the hook-k series is the first-column series (Theorem 4.3)
@@ -290,8 +292,8 @@ class TestMexSeries:
     def test_minus_one_is_shifted_M(self):
         for k in range(1, 6):
             c2 = k * (k - 1) // 2
-            shifted = gf_M_k(k, N + c2).shift(-c2)
-            assert gf_h_fixed_part_k(-1, k, N).coefficients(0, N) == shifted.coefficients(0, N)
+            shifted = qlists.shift(gf_M_k(k, N + c2), -c2)
+            assert qlists.of(gf_h_fixed_part_k(-1, k, N)) == shifted
 
     def test_generalized_matches_oracle_at_shift(self):
         h, k = 0, 1
@@ -316,8 +318,8 @@ class TestPentagonal:
             partition_numbers(-1)
 
     def test_euler_inverse(self):
-        product = pentagonal_series(N) * inv_pochhammer_tail(1, N)
-        assert product == Series.one(N)
+        product = qlists.mul(pentagonal_series(N), inv_pochhammer_tail(1, N))
+        assert product == qlists.make([1], N)
 
     def test_truncation_values(self):
         assert truncated_pentagonal(1, 5) == 2
@@ -362,7 +364,8 @@ class TestNonnegativity:
 #
 # Each summand was built from scratch as a product of two truncated series
 # and added into a dense list; the kernel rewrite must give the same series,
-# or raise the same error, at every grid point.
+# or raise the same error, at every grid point.  The copies compute with the
+# reference arithmetic of qlists, so they share no kernel with the package.
 
 def _old_geometric_divide(dense, k):
     for e in range(k, len(dense)):
@@ -388,7 +391,7 @@ def _old_inv_pochhammer_tail(a, order):
     dense[0] = 1
     for k in range(a, order + 1):
         _old_geometric_divide(dense, k)
-    return Series.make(dense, order)
+    return qlists.make(dense, order)
 
 
 def _old_inv_finite_pochhammer(n, order):
@@ -398,12 +401,12 @@ def _old_inv_finite_pochhammer(n, order):
     dense[0] = 1
     for k in range(1, min(n, order) + 1):
         _old_geometric_divide(dense, k)
-    return Series.make(dense, order)
+    return qlists.make(dense, order)
 
 
 def _old_q_binomial(a, b, order):
     if b < 0 or b > a:
-        return Series.zero(order)
+        return qlists.make([], order)
     dense = [0] * (order + 1)
     dense[0] = 1
     for k in range(b + 1, a + 1):
@@ -412,7 +415,7 @@ def _old_q_binomial(a, b, order):
     for k in range(1, a - b + 1):
         if k <= order:
             _old_geometric_divide(dense, k)
-    return Series.make(dense, order)
+    return qlists.make(dense, order)
 
 
 def _old_gf_fixed_hooks_double_sum(order):
@@ -425,9 +428,10 @@ def _old_gf_fixed_hooks_double_sum(order):
             if exponent > order:
                 continue
             rest = order - exponent
-            term = _old_inv_finite_pochhammer(k - 2 * j - 1, rest) * _old_inv_finite_pochhammer(j, rest)
+            term = qlists.mul(_old_inv_finite_pochhammer(k - 2 * j - 1, rest),
+                              _old_inv_finite_pochhammer(j, rest))
             _old_accumulate(dense, term, exponent)
-    return Series.make(dense, order)
+    return qlists.make(dense, order)
 
 
 def _old_gf_fixed_hooks_simplified(order):
@@ -439,7 +443,7 @@ def _old_gf_fixed_hooks_simplified(order):
         poly[square] += 1
         if square + t + 1 <= order:
             poly[square + t + 1] -= 1
-    return Series.make(poly, order) * _old_inv_pochhammer_tail(1, order)
+    return qlists.mul(qlists.make(poly, order), _old_inv_pochhammer_tail(1, order))
 
 
 def _old_gf_h_fixed_part_k(h, k, order):
@@ -451,9 +455,10 @@ def _old_gf_h_fixed_part_k(h, k, order):
         if exponent > order:
             break
         rest = order - exponent
-        term = _old_q_binomial(s + h - 1, k - 1, rest) * _old_inv_finite_pochhammer(s - 1, rest)
+        term = qlists.mul(_old_q_binomial(s + h - 1, k - 1, rest),
+                          _old_inv_finite_pochhammer(s - 1, rest))
         _old_accumulate(dense, term, exponent)
-    return Series.make(dense, order)
+    return qlists.make(dense, order)
 
 
 def _old_gf_ones_exact(h, order):
@@ -461,24 +466,24 @@ def _old_gf_ones_exact(h, order):
         raise ValueError(f"the exact-ones form needs h >= -1, got {h}")
     inner_order = order - (h + 1)
     if inner_order < 0:
-        return Series.zero(order)
+        return qlists.make([], order)
     base = _old_inv_pochhammer_tail(2, inner_order)
     if h == -1:
-        base = base - Series.one(inner_order)
-    return base.shift(h + 1)
+        base = qlists.add(base, qlists.neg(qlists.make([1], inner_order)))
+    return qlists.shift(base, h + 1)
 
 
 def _old_gf_ones_shifted(h, order):
     inner_order = order - (h + 1)
     if inner_order < 0:
-        return Series.zero(order)
+        return qlists.make([], order)
     total = _old_inv_pochhammer_tail(2, inner_order)
     dense = [0] * (inner_order + 1)
     for m in range(0, -h):
         if 2 * m > inner_order:
             break
         _old_accumulate(dense, _old_inv_finite_pochhammer(m, inner_order - 2 * m), 2 * m)
-    return (total - Series.make(dense, inner_order)).shift(h + 1)
+    return qlists.shift(qlists.add(total, qlists.neg(qlists.make(dense, inner_order))), h + 1)
 
 
 def _old_gf_M_k(k, order):
@@ -491,9 +496,9 @@ def _old_gf_M_k(k, order):
         if exponent > order:
             break
         rest = order - exponent
-        term = _old_q_binomial(n - 1, k - 1, rest) * _old_inv_finite_pochhammer(n, rest)
+        term = qlists.mul(_old_q_binomial(n - 1, k - 1, rest), _old_inv_finite_pochhammer(n, rest))
         _old_accumulate(dense, term, exponent)
-    return Series.make(dense, order)
+    return qlists.make(dense, order)
 
 
 def _old_gf_h_fixed_hook_k(h, k, order):
@@ -502,22 +507,23 @@ def _old_gf_h_fixed_hook_k(h, k, order):
     if h > k - 1:
         raise ValueError(f"an h-fixed hook of size {k} needs h <= {k - 1}, got {h}")
     d = k - h - 1
-    poly = Series.zero(order)
+    poly = qlists.make([], order)
     for l in range(1, k + 1):
         exponent = k + l * d
         if exponent > order:
             break
-        poly = poly + _old_q_binomial(k - 1, l - 1, order - exponent).shift(exponent)
-    if poly.is_zero():
-        return Series.zero(order)
-    return poly * _old_inv_finite_pochhammer(d, order - poly.offset)
+        term = _old_q_binomial(k - 1, l - 1, order - exponent)
+        poly = qlists.add(poly, qlists.shift(term, exponent))
+    if not poly.coeffs:
+        return qlists.make([], order)
+    return qlists.mul(poly, _old_inv_finite_pochhammer(d, order - poly.offset))
 
 
 def _old_gf_all_h_fixed(h, order):
     dense = [0] * (order + 1)
     for k in range(max(1, h + 1), order + 1):
         _old_accumulate(dense, _old_gf_h_fixed_hook_k(h, k, order), 0)
-    return Series.make(dense, order)
+    return qlists.make(dense, order)
 
 
 def _old_gf_first_column_k_hooks(k, order):
@@ -525,12 +531,12 @@ def _old_gf_first_column_k_hooks(k, order):
         raise ValueError(f"hook size must be >= 1, got {k}")
     inner_order = order - k
     if inner_order < 0:
-        return Series.zero(order)
+        return qlists.make([], order)
     dense = [0] * (inner_order + 1)
     for l in range(1, k + 1):
         _old_accumulate(dense, _old_inv_finite_pochhammer(k - l, inner_order), 0)
-    total = Series.make(dense, inner_order) * _old_inv_pochhammer_tail(k, inner_order)
-    return total.shift(k)
+    total = qlists.mul(qlists.make(dense, inner_order), _old_inv_pochhammer_tail(k, inner_order))
+    return qlists.shift(total, k)
 
 
 def _outcome(fn, *args):
@@ -755,24 +761,7 @@ class TestNestedSum:
             _nested_sum(3, 9, [(4, [1], 1), (2, [1], 0)])
 
 
-# -- the schoolbook product that Kronecker substitution replaced -------------
-
-def _schoolbook_mul(self, other):
-    if isinstance(other, int):
-        return Series.make([other * c for c in self.coeffs], self.order, offset=self.offset)
-    order = min(self.order + other.offset, other.order + self.offset)
-    offset = self.offset + other.offset
-    dense = [0] * (order - offset + 1)
-    for i, a in enumerate(self.coeffs):
-        ea = self.offset + i
-        top = order - ea
-        for j, b in enumerate(other.coeffs):
-            eb = other.offset + j
-            if eb > top:
-                break
-            dense[ea + eb - offset] += a * b
-    return Series.make(dense, order, offset=offset)
-
+# -- the schoolbook product that Kronecker substitution replaced, qlists.mul --
 
 # coefficients up to 10^40 in size, of either sign, so that a digit of the
 # packed integers takes from one byte to well over 64 bits; orders fall below
@@ -787,31 +776,18 @@ wide_series_st = st.builds(
 
 class TestProductDifferential:
     @settings(max_examples=400, deadline=None)
-    @given(wide_series_st, wide_series_st, st.integers(-10**40, 10**40))
-    @example(Series.zero(5), Series.make([7], 5), 3)
+    @given(wide_series_st, wide_series_st)
+    @example(Series.zero(5), Series.make([7], 5))
     # one coefficient at a time: the product fills its digit up to the sign bit
-    @example(Series.make([255], 4), Series.make([1], 4), -1)
-    @example(Series.make([-128], 4, offset=-6), Series.make([-(2**63)], 9, offset=6), 2**64)
-    def test_same_series_as_the_schoolbook_product(self, a, b, c):
-        pairs = [(a * b, _schoolbook_mul(a, b)), (b * a, _schoolbook_mul(b, a)),
-                 (a * a, _schoolbook_mul(a, a)), (c * a, _schoolbook_mul(a, c))]
-        for new, old in pairs:
-            assert (new.offset, new.order, new.coeffs) == (old.offset, old.order, old.coeffs)
+    @example(Series.make([255], 4), Series.make([1], 4))
+    @example(Series.make([-128], 4, offset=-6), Series.make([-(2**63)], 9, offset=6))
+    def test_same_series_as_the_schoolbook_product(self, a, b):
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert qlists.of(x * y) == qlists.mul(x, y)
 
 
-# -- the per-coefficient addition that _nested_sum replaced in Series.__add__ -
-
-def _loop_add(self, other):
-    order = min(self.order, other.order)
-    offset = min(self.offset, other.offset)
-    dense = [0] * (order - offset + 1)
-    for src in (self, other):
-        for i, c in enumerate(src.coeffs):
-            e = src.offset + i
-            if e <= order:
-                dense[e - offset] += c
-    return Series.make(dense, order, offset=offset)
-
+# -- the per-coefficient addition that _nested_sum replaced in Series.__add__,
+# qlists.add -------------------------------------------------------------------
 
 class TestSumDifferential:
     @settings(max_examples=400, deadline=None)
@@ -822,9 +798,8 @@ class TestSumDifferential:
     @example([Series.make([1, -1], -2, offset=-4), Series.make([2], -3, offset=-5)])
     @example([Series.zero(4)])
     def test_same_series_as_the_folded_loop_add(self, terms):
-        old = functools.reduce(_loop_add, terms)
-        new = functools.reduce(operator.add, terms)
-        assert (new.offset, new.order, new.coeffs) == (old.offset, old.order, old.coeffs)
+        new, old = functools.reduce(operator.add, terms), functools.reduce(qlists.add, terms)
+        assert qlists.of(new) == qlists.of(old)
 
 
 # -- the per-exponent reads and the cached recurrence that one slice and one
@@ -949,7 +924,7 @@ class TestEulerIndependence:
             monkeypatch.setattr(series, "_P", wrong_p)
         else:
             monkeypatch.setattr(series, "partition_numbers", lambda n: wrong_p[: n + 1])
-        assert pentagonal_series(N) * inv_pochhammer_tail(1, N) == Series.one(N)
+        assert qlists.mul(pentagonal_series(N), inv_pochhammer_tail(1, N)) == qlists.make([1], N)
         wrong = [gf_fixed_hooks_simplified(N), gf_first_column_k_hooks(2, N),
                  gf_ones_shifted(0, N)]
         assert all(a != b for a, b in zip(wrong, closed_forms))

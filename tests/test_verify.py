@@ -64,7 +64,7 @@ def _off_by_one_at(at, func):
     def wrapped(*args):
         value = func(*args)
         if isinstance(value, Series):
-            return value + Series.monomial(at, value.order)
+            return value + Series.make([1], value.order, offset=at)
         if isinstance(value, CountTable):
             return CountTable({n: c + (n == at) for n, c in value.values.items()})
         return value + (args[-1] == at)  # truncated_pentagonal(k, n) is one coefficient
@@ -159,7 +159,7 @@ class TestReports:
         # prop2.2 multiplies two Pochhammers, so its q^-1 terms meet at q^-2
         term = getattr(series, name)
         monkeypatch.setattr(series, name,
-                            lambda *args: term(*args) + Series.monomial(-1, args[-1]))
+                            lambda *args: term(*args) + Series.make([1], args[-1], offset=-1))
         offset = -2 if name == "inv_finite_pochhammer" else -1
         message = f"starts at q^{offset}, below q^0"
         with pytest.raises(InvariantError, match=re.escape(message)):
