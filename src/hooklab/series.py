@@ -7,10 +7,11 @@ exact.  Offsets may be negative; they arise from Laurent prefactors such
 as q^(h+1-C(k,2)).
 
 Each summed generating function is a sum of q^(e_i) B_i over a product of
-factors (1 - q^b) that gains one factor per index.  It is summed inside out,
-from its last index down: the running sum is divided by the one factor its
-index adds, and the next q-binomial B_i, carried from the one above and kept
-no longer than its degree, is added.  A sum starts at the last index whose
+factors (1 - q^b) that gains one factor per index (two in the Durfee sum of
+1/(q^a; q)_inf).  It is summed inside out, from its last index down: the
+running sum is divided by the factors its index adds, and the next
+q-binomial B_i, carried from the one above and kept no longer than its
+degree, is added.  A sum starts at the last index whose
 minimal q-exponent, which increases with the index, is within the order.
 """
 
@@ -238,13 +239,25 @@ def _hook_terms(k: int, d: int, order: int, divisor: int = 0):
 def inv_pochhammer_tail(a: int, order: int) -> Series:
     """1/(q^a; q)_inf: partitions with all parts >= a.
 
-    Built as a chain of divisions, never from partition_numbers: it is the
+    Summed over Durfee squares, never from partition_numbers: it is the
     product side of Euler's identity, which is checked against the pentagonal
-    series that the recurrence for p(n) comes from.
+    series that the recurrence for p(n) comes from.  Cauchy's identity
+    1/(zq; q)_inf = sum_m z^m q^(m^2) / ((q)_m (zq; q)_m) at z = q^(a-1) gives
+    sum_m q^(m(m+a-1)) / ((q)_m (q^a; q)_m), summed inside out from the last m
+    within the order: two divisions per m, not one per part size.
     """
     if a < 1:
         raise ValueError(f"smallest part must be >= 1, got {a}")
-    return Series.make(_ratio(order + 1, downs=range(a, order + 1)), order)
+    squares = list(itertools.takewhile(lambda m: m * (m + a - 1) <= order, itertools.count(0)))
+    dense = [0] * (order + 1)
+    # the term of m has two factors more than that of m - 1: (1 - q^m)(1 - q^(m+a-1))
+    for m in reversed(squares):
+        e = m * (m + a - 1)
+        dense[e] += 1
+        if m:
+            _divide(dense, m, e)
+            _divide(dense, m + a - 1, e)
+    return Series.make(dense, order)
 
 
 def inv_finite_pochhammer(n: int, order: int) -> Series:
@@ -291,17 +304,18 @@ def gf_fixed_hooks_double_sum(order: int) -> Series:
 def gf_fixed_hooks_simplified(order: int) -> Series:
     """Partitions with a 0-fixed hook: sum_T q^((T+1)^2) (1 - q^(T+1)) / (q)_inf.
 
-    The sparse polynomial in T times p(n), read from partition_numbers.
+    The sparse polynomial in T times p(n), read from partition_numbers: each
+    of its coefficients +-1 adds or subtracts the whole list of p(n), shifted
+    to its exponent, in one slice.
     """
-    poly = [0] * (order + 1)
-    for t in itertools.count(0):
-        square = (t + 1) * (t + 1)
-        if square > order:
+    dense = [0] * (order + 1)
+    p = partition_numbers(len(dense) - 1)  # at a negative order, the error of n_max -1
+    for t in itertools.count(1):  # t = T + 1
+        if t * t > order:
             break
-        poly[square] += 1
-        if square + t + 1 <= order:
-            poly[square + t + 1] -= 1
-    return Series.make(_over_tail(poly, 1), order)
+        for e, sign in ((t * t, operator.add), (t * t + t, operator.sub)):
+            dense[e:] = map(sign, dense[e:], p)
+    return Series.make(dense, order)
 
 
 def gf_h_fixed_part_k(h: int, k: int, order: int) -> Series:
@@ -461,13 +475,17 @@ def partition_numbers(n_max: int) -> list[int]:
     """p(0..n_max) via the pentagonal number recurrence, each p(n) computed once per process."""
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
-    for n in range(len(_P), n_max + 1):
-        total = 0
+    if n_max >= len(_P):
+        # the exponents e > 0 up to n_max whose p(n - e) the recurrence adds,
+        # and those whose p(n - e) it subtracts, listed once per fill
+        adds, subs = [], []
         for exponent, sign in itertools.islice(pentagonal_exponents(), 1, None):
-            if exponent > n:
+            if exponent > n_max:
                 break
-            total -= sign * _P[n - exponent]
-        _P.append(total)
+            (adds if sign < 0 else subs).append(exponent)
+        for n in range(len(_P), n_max + 1):
+            _P.append(sum([_P[n - e] for e in adds if e <= n])
+                      - sum([_P[n - e] for e in subs if e <= n]))
     return _P[: n_max + 1]
 
 

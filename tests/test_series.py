@@ -116,6 +116,15 @@ class TestPochhammer:
         assert [gf.coeff(n) for n in range(21)] == p
         assert gf.coeff(5) == 7
 
+    def test_p_10000_from_oeis(self, monkeypatch):
+        # A000041(10000), the 107-digit value OEIS lists; the Durfee sum and the
+        # recurrence, from a memo holding p(0) alone, must each reach it
+        p_10000 = int("36167251325636293988820471890953695495016030339315650422081868605887"
+                      "952568754066420592310556052906916435144")
+        monkeypatch.setattr(series, "_P", [1])
+        assert inv_pochhammer_tail(1, 10000).coeff(10000) == p_10000
+        assert partition_numbers(10000)[10000] == p_10000
+
     def test_no_ones(self):
         assert inv_pochhammer_tail(2, 10).coeff(5) == 2  # (5), (3,2)
 
@@ -387,8 +396,7 @@ def _old_accumulate(dense, term, shift):
 def _old_inv_pochhammer_tail(a, order):
     if a < 1:
         raise ValueError(f"smallest part must be >= 1, got {a}")
-    dense = [0] * (order + 1)
-    dense[0] = 1
+    dense = [1] + [0] * order  # [1] below q^0, cut to nothing by make
     for k in range(a, order + 1):
         _old_geometric_divide(dense, k)
     return qlists.make(dense, order)
@@ -435,6 +443,8 @@ def _old_gf_fixed_hooks_double_sum(order):
 
 
 def _old_gf_fixed_hooks_simplified(order):
+    if order < 0:  # the p(n) memo's error: the tail is read up to q^-1
+        raise ValueError("need n_max >= 0, got -1")
     poly = [0] * (order + 1)
     for t in itertools.count(0):
         square = (t + 1) * (t + 1)
@@ -867,11 +877,14 @@ class TestReadDifferential:
 
     def test_same_numbers_as_the_cached_recurrence(self, monkeypatch):
         monkeypatch.setattr(series, "_P", [1])  # grow the memo from p(0) alone
-        old = {partition_numbers: lambda n: list(_cached_partition_numbers(n)),
+        old = {partition_numbers: lambda n: list(_cached_partition_numbers(2000)[: n + 1]),
                truncated_pentagonal: _cached_truncated_pentagonal}
-        asks = [(partition_numbers, n) for n in range(121)]
+        rng = random.Random(15)
+        # every n to 120, and n to 2000 in random steps, so that fills start
+        # and end at random points of the memo
+        asks = [(partition_numbers, n) for n in [*range(121), *rng.sample(range(121, 2001), 15), 2000]]
         asks += [(truncated_pentagonal, k, n) for k in range(1, 7) for n in range(121)]
-        random.Random(15).shuffle(asks)
+        rng.shuffle(asks)
         for fn, *args in asks:
             got = fn(*args)
             assert got == old[fn](*args), (fn.__name__, args)
@@ -880,10 +893,13 @@ class TestReadDifferential:
                 got.append(-1)
 
 
-# -- the division chains that the p(n) memo replaced in the closed forms -------
+# -- the division chains that the p(n) memo replaced in the closed forms, and
+# that the Durfee sum replaced in inv_pochhammer_tail -------------------------
 
-def _tail_grid():
-    """(new, old, args before the order): the constructors that read p(n)."""
+def _tail_grid(order):
+    """(new, old, args before the order): the constructors that read p(n), and 1/(q^a; q)_inf."""
+    for a in (1, 2, 9, order, order + 1):
+        yield inv_pochhammer_tail, _old_inv_pochhammer_tail, (a,)
     yield gf_fixed_hooks_simplified, _old_gf_fixed_hooks_simplified, ()
     for k in range(0, 8):
         yield gf_first_column_k_hooks, _old_gf_first_column_k_hooks, (k,)
@@ -892,17 +908,17 @@ def _tail_grid():
 
 
 class TestTailDifferential:
-    ORDERS = [*range(0, 41), 97, 250, 1000]
+    ORDERS = [-5, -1, *range(0, 41), 97, 250, 1000]
 
     def test_same_series_or_error_as_the_division_chains(self, monkeypatch):
         expected = {(new, args, order): _outcome(old, *args, order)
-                    for order in self.ORDERS for new, old, args in _tail_grid()}
+                    for order in self.ORDERS for new, old, args in _tail_grid(order)}
         # from the highest order down the memo grows once and is then read as a
         # prefix; from the lowest up it grows at every order
         for orders in (self.ORDERS[::-1], self.ORDERS):
             monkeypatch.setattr(series, "_P", [1])
             for order in orders:
-                for new, _, args in _tail_grid():
+                for new, _, args in _tail_grid(order):
                     assert _outcome(new, *args, order) == expected[new, args, order], \
                         (new.__name__, args, order)
             # no constructor wrote into the memo
