@@ -558,8 +558,17 @@ def _outcome(fn, *args):
 
 
 def _kernel_grid(order):
-    """(new, old, args) at one order: h in -7..6, k in 0..8 and 10, a <= 11, b in -1..12."""
+    """(new, old, args) at one order: h in -7..6, k in 0..8 and 10, a <= 11, b in -1..12.
+
+    gf_M_k's rows also take k = 11, whose first term is q^187, and only they
+    run outside orders 0..97: at a negative order gf_M_k calls
+    gf_h_fixed_part_k(-1, k) at order - C(k, 2), below 0 as well.
+    """
     hs, ks = range(-7, 7), (*range(0, 9), 10)
+    for k in (*ks, 11):
+        yield gf_M_k, _old_gf_M_k, (k, order)
+    if not 0 <= order <= 97:
+        return
     yield gf_fixed_hooks_double_sum, _old_gf_fixed_hooks_double_sum, (order,)
     yield gf_fixed_hooks_simplified, _old_gf_fixed_hooks_simplified, (order,)
     for a in range(-1, 12):
@@ -568,7 +577,6 @@ def _kernel_grid(order):
         for b in range(-1, 13):
             yield q_binomial, _old_q_binomial, (a, b, order)
     for k in ks:
-        yield gf_M_k, _old_gf_M_k, (k, order)
         yield gf_first_column_k_hooks, _old_gf_first_column_k_hooks, (k, order)
     for h in hs:
         if h >= -1:  # Theorem 3.3's exact-ones form
@@ -691,11 +699,17 @@ def _carried_gf_first_column_k_hooks(k, order):
 
 
 def _carried_grid(order):
-    """(new, carried, args) at one order: h in -7..6, k in 0..8 and 10."""
+    """(new, carried, args) at one order: h in -7..6, k in 0..8 and 10.
+
+    gf_M_k's rows also take k = 11, and only they run below order 0.
+    """
     hs, ks = range(-7, 7), (*range(0, 9), 10)
+    for k in (*ks, 11):
+        yield gf_M_k, _carried_gf_M_k, (k, order)
+    if order < 0:
+        return
     yield gf_fixed_hooks_double_sum, _carried_gf_fixed_hooks_double_sum, (order,)
     for k in ks:
-        yield gf_M_k, _carried_gf_M_k, (k, order)
         yield gf_first_column_k_hooks, _carried_gf_first_column_k_hooks, (k, order)
     for h in hs:
         if h >= -1:
@@ -708,12 +722,12 @@ def _carried_grid(order):
 
 
 class TestKernelDifferential:
-    @pytest.mark.parametrize("order", [*range(0, 41), 97])
+    @pytest.mark.parametrize("order", [-5, -1, *range(0, 41), 97, 250])
     def test_same_series_or_error_as_the_summand_products(self, order):
         for new, old, args in _kernel_grid(order):
             assert _outcome(new, *args) == _outcome(old, *args), (new.__name__, args)
 
-    @pytest.mark.parametrize("order", [*range(0, 41), 97, 250])
+    @pytest.mark.parametrize("order", [-5, -1, *range(0, 41), 97, 250])
     def test_same_series_or_error_as_the_carried_sums(self, order):
         for new, old, args in _carried_grid(order):
             assert _outcome(new, *args) == _outcome(old, *args), (new.__name__, args)
