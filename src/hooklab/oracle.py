@@ -9,8 +9,8 @@ census, so the cells of a grid share its walks:
   weight, from an ascending walk that shares the hooks of the smaller
   parts between the partitions that have them;
 * the fixed-hook class is built from its definition, one census per (h,
-  top weight): the rows below a fixed hook, and for each such set every
-  choice of the rows above it, walked once for all weights up to the top;
+  top weight) with one count list per (position, part): the rows below the
+  hook, then each choice of the rows above, walked once for all weights;
 * the mex-k, exact-ones and (lambda, i) classes are each a fixed block
   (one copy of each of 1..k-1, the ones, i copies of i) plus a partition
   of the rest with no part b (b = k, 1, i), so all three read one census
@@ -93,8 +93,9 @@ def _multiplicities(below: int, room: int, rows: int) -> list[tuple[int, int]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _fixed_hook_census(h: int, top: int) -> list[Counter]:
-    """How many partitions of each weight n <= top have each h-fixed hook (position, hook, part).
+def _fixed_hook_census(h: int, top: int) -> dict[tuple[int, int], list[int]]:
+    """{(s, p): counts}: counts[n] partitions of n <= top have their h-fixed hook,
+    of length s + h, at position s on a part p; top + 1 counts per block.
 
     A partition whose h-fixed hook sits at position s on a part p has
     t = 2s + h - p parts: s - 1 rows >= p above row s, and m = s + h - p rows
@@ -102,22 +103,19 @@ def _fixed_hook_census(h: int, top: int) -> list[Counter]:
     block at a time: each set of lower rows by the multiplicities of 1..p-1
     left after taking one box from every row, at most m of them, from
     _multiplicities, and for each such set one walk of every choice of the
-    rows above, less p each, that fits under the top.
+    rows above, less p each, that fits under the top, into the block's list.
     Each set walks its own rows above, even when two sets weigh the same.
     """
     check_weight(top)
-    census = [Counter() for _ in range(top + 1)]
+    census: dict[tuple[int, int], list[int]] = {}
     for p in range(1, top + 1):
         for s in range(max(1, p - h), (top - h + p) // (p + 1) + 1):
             m = s + h - p
             base = s * p + m  # the block's lightest partition has s rows of p and m rows of 1
             room = top - base  # weight of the rows above beyond p, plus the lower rows beyond 1
-            counts = [0] * (room + 1)  # the block's partitions by weight - base
+            counts = census[s, p] = [0] * (top + 1)
             for weight, _ in _multiplicities(p, room, m):
-                _walk_box(counts, weight, s - 1, room)
-            for n, count in enumerate(counts, base):
-                if count:
-                    census[n][s, s + h, p] = count
+                _walk_box(counts, base + weight, s - 1, room)
     return census
 
 
@@ -210,15 +208,16 @@ def _first_column_census(n: int) -> Counter:
     return Counter(itertools.chain.from_iterable(_first_column_hooks(n)))
 
 
-def _fixed_hook_table(h: int, n_max: int, keep: Callable[[int, int, int], bool]) -> CountTable:
-    """Partitions of n whose h-fixed hook (position, hook, part) passes keep."""
-    census = _fixed_hook_census(h, max(n_max, 0))
-    return _table(n_max, lambda n: sum(c for hit, c in census[n].items() if keep(*hit)))
+def _fixed_hook_table(h: int, n_max: int, keep: Callable[[int, int], bool]) -> CountTable:
+    """Partitions of n whose h-fixed hook's (position, part) passes keep, run once per block."""
+    blocks = [counts for (s, p), counts in _fixed_hook_census(h, max(n_max, 0)).items()
+              if keep(s, p)]
+    return _table(n_max, lambda n: sum(counts[n] for counts in blocks))
 
 
 def count_fixed_hooks(h: int, n_max: int) -> CountTable:
     """Partitions of n possessing an h-fixed hook (f(n) when h = 0)."""
-    return _fixed_hook_table(h, n_max, lambda s, hook, part: True)
+    return _fixed_hook_table(h, n_max, lambda s, p: True)
 
 
 def count_parts_eq_mult(n_max: int) -> CountTable:
@@ -235,12 +234,12 @@ def count_parts_eq_mult(n_max: int) -> CountTable:
 
 def count_h_fixed_by_part(h: int, k: int, n_max: int) -> CountTable:
     """Partitions of n whose h-fixed hook sits at a part of size k."""
-    return _fixed_hook_table(h, n_max, lambda s, hook, part: part == k)
+    return _fixed_hook_table(h, n_max, lambda s, p: p == k)
 
 
 def count_h_fixed_by_hook(h: int, k: int, n_max: int) -> CountTable:
     """Partitions of n whose h-fixed hook has hook length exactly k."""
-    return _fixed_hook_table(h, n_max, lambda s, hook, part: hook == k)
+    return _fixed_hook_table(h, n_max, lambda s, p: s + h == k)
 
 
 def count_first_column_k_hooks(k: int, n_max: int) -> CountTable:

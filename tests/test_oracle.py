@@ -248,6 +248,19 @@ class TestCensusDifferential:
                 for n, ps in partitions.items()}, (rows, cols)
 
 
+def _by_weight(h, top):
+    """The (position, part) block census of (h, top) as one Counter of (position, hook, part)
+    per weight, the form the reports of find_h_fixed_hook and the old census take."""
+    census = _fixed_hook_census(h, top)
+    assert all(len(counts) == top + 1 for counts in census.values()), (h, top)
+    whole = [Counter() for _ in range(top + 1)]
+    for (s, p), counts in census.items():
+        for n, count in enumerate(counts):
+            if count:
+                whole[n][s, s + h, p] = count
+    return whole
+
+
 def _whole_mex_census(parts_of_n):
     """(mex, #below - #above) counts of whole partitions, as the single-sweep census kept them."""
     census = Counter()
@@ -335,10 +348,10 @@ class TestPrefixSplitDifferential:
                      for n in range(self.N + 1)]
             for census in whole:
                 del census[None]
-            assert _fixed_hook_census(h, self.N) == whole, h
+            assert _by_weight(h, self.N) == whole, h
             # a lower top cuts the walk, and keeps the same counts below it
             for top in (0, 1, 2, 7, 18):
-                assert _fixed_hook_census(h, top) == whole[: top + 1], (h, top)
+                assert _by_weight(h, top) == whole[: top + 1], (h, top)
 
     def test_fixed_hook_census_far_h(self):
         start = time.perf_counter()
@@ -556,7 +569,7 @@ class TestMultiplicities:
 
     def test_fixed_hook_census(self):
         for h in range(-8, 9):
-            assert _fixed_hook_census(h, self.N) == _old_fixed_hook_census(h, self.N), h
+            assert _by_weight(h, self.N) == _old_fixed_hook_census(h, self.N), h
 
     def test_mex_census(self):
         for walk, k in itertools.product(
